@@ -14,7 +14,7 @@ from .graphs import (
     AmplifiedGraph,
     ComponentPartition,
     amplified_transitive_closure,
-    induced_subgraph,
+    apply_permutation,
     weakly_connected_components,
 )
 from .isomorph import canonical_form, digraph_isomorphism
@@ -130,15 +130,6 @@ def check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Report:
         raise ValueError("graph is not connected")
     levels = spec.levels
     table = build_reachability(graph)
-    powers, p, q = table.powers, table.preperiod, table.period
-    span = p + q
-
-    def reach(a: int, b: int, k: int) -> bool:
-        if k < 0:
-            return False
-        if k >= span:
-            k = p + (k - p) % q
-        return (powers[k][a] >> b) & 1 == 1
 
     def partition_for():
         for u in range(n):
@@ -155,7 +146,7 @@ def check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Report:
             if v == w:
                 continue
             for m in range(0, levels[v] - levels[w] + 1):
-                if reach(w, v, levels[v] - levels[w] - m):
+                if exact_reach(table, w, v, levels[v] - levels[w] - m):
                     return Lemma23Report(
                         verdict="violated",
                         violated_condition="cond3-shift-containment",
@@ -167,7 +158,7 @@ def check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Report:
     und = [0] * n
     for v in range(n):
         for w in range(n):
-            if v != w and reach(v, w, levels[w] + 1 - levels[v]):
+            if v != w and exact_reach(table, v, w, levels[w] + 1 - levels[v]):
                 und[v] |= 1 << w
                 und[w] |= 1 << v
     seen = 1
@@ -197,6 +188,16 @@ def check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Report:
     return Lemma23Report(verdict="constant", level=levels[0])
 
 
+def _require_bijection(
+    e: AmplifiedGraph, f: AmplifiedGraph, rho: LatticeIsoData
+) -> None:
+    n = e.vertex_count
+    if f.vertex_count != n or sorted(rho.vertex_map) != list(range(n)):
+        raise ValueError("vertex map is not a bijection onto the codomain")
+    if len(rho.shift) != n:
+        raise ValueError("shift map does not cover every vertex")
+
+
 def validate_lattice_iso(
     e: AmplifiedGraph, f: AmplifiedGraph, rho: LatticeIsoData
 ) -> bool:
@@ -205,14 +206,11 @@ def validate_lattice_iso(
     Verified as: for all v, w and every path length k within the periodicity
     horizon of both graphs (widened by the shift spread), a length-k path
     v -> w exists in E iff a length-(k + shift[w] - shift[v]) path runs
-    between the images in F.
+    between the images in F.  The definition; oracle and tests only.
     """
+    _require_bijection(e, f, rho)
     n = e.vertex_count
     phi = rho.vertex_map
-    if f.vertex_count != n or sorted(phi) != list(range(n)):
-        raise ValueError("vertex map is not a bijection onto the codomain")
-    if len(rho.shift) != n:
-        raise ValueError("shift map does not cover every vertex")
     if n == 0:
         return True
     te = build_reachability(e)
@@ -229,51 +227,51 @@ def validate_lattice_iso(
     return True
 
 
+def _is_lattice_iso(
+    e: AmplifiedGraph, f: AmplifiedGraph, rho: LatticeIsoData
+) -> bool:
+    """``validate_lattice_iso`` in O(n^2): phi preserves adjacency and the
+    shift s is constant on each weakly connected component of E.
+
+    (<=) A graph isomorphism conjugates every boolean power, and across
+    components neither side has paths.
+    (=>) Pulled back along phi, an E-edge u -> u' needs an F-walk of length
+    1 + s[u'] - s[u] >= 1; every F-edge forces s to be non-increasing along
+    it.  So s is constant along edges, and k = 1 then gives adjacency.
+    Every k this uses lies inside the horizon.
+    """
+    _require_bijection(e, f, rho)
+    if apply_permutation(f, rho.vertex_map).rows != e.rows:
+        return False
+    comp = weakly_connected_components(e)
+    return len(set(zip(comp.component_of, rho.shift))) == comp.component_count
+
+
 def normalize_lattice_iso(
     e: AmplifiedGraph, f: AmplifiedGraph, rho: LatticeIsoData
 ) -> LatticeIsoData:
-    """Compose a validated lattice isomorphism with translations to kill shifts.
+    """Compose a lattice isomorphism with translations to kill its shifts.
 
-    The shift of a validated isomorphism is constant on each weakly connected
-    component (asserted by running the basepoint checker on the image
-    component with the pulled-back levels); subtracting that constant per
-    component yields an equivalent isomorphism with shift identically zero.
+    A lattice isomorphism's shift is constant on each weakly connected
+    component (Lemma 2.3), so subtracting that constant per component yields
+    an equivalent isomorphism with shift identically zero.  Raises
+    ValueError unless rho is a lattice isomorphism.
     """
-    if not validate_lattice_iso(e, f, rho):
+    if not _is_lattice_iso(e, f, rho):
         raise ValueError("not a lattice isomorphism")
-    comp = weakly_connected_components(e)
-    shifts = list(rho.shift)
-    for c in range(comp.component_count):
-        members = comp.members(c)
-        image = sorted(rho.vertex_map[v] for v in members)
-        position = {x: i for i, x in enumerate(image)}
-        sub = induced_subgraph(f, image)
-        levels = [0] * len(image)
-        for v in members:
-            levels[position[rho.vertex_map[v]]] = rho.shift[v]
-        report = check_lemma23(sub, VHSpec(tuple(levels)))
-        if report.verdict != "constant":
-            raise RuntimeError(
-                "component shift non-constant on validated input"
-            )
-        for v in members:
-            shifts[v] = rho.shift[v] - report.level
-    normalized = LatticeIsoData(rho.vertex_map, tuple(shifts))
-    if not validate_lattice_iso(e, f, normalized):
-        raise RuntimeError("normalized map failed revalidation")
-    return normalized
+    return LatticeIsoData(rho.vertex_map, (0,) * e.vertex_count)
 
 
 def decide_gauge_iso(e: AmplifiedGraph, f: AmplifiedGraph) -> Verdict:
     """Graded-isomorphism verdict: direct digraph isomorphism.
 
     On success the witness, taken with zero shifts, is cross-checked as a
-    lattice isomorphism.
+    lattice isomorphism by the O(n^2) component-shift test.
     """
     witness = digraph_isomorphism(e, f)
-    if witness is not None and e.vertex_count > 0:
+    if witness is not None:
         rho = LatticeIsoData(witness, (0,) * e.vertex_count)
-        if not validate_lattice_iso(e, f, rho):
+        if not _is_lattice_iso(e, f, rho):
             raise RuntimeError("witness failed the lattice cross-check")
     return Verdict(
         isomorphic=witness is not None,

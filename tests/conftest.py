@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from amplify.graphs import AmplifiedGraph, parse_graph
+from amplify.graphs import AmplifiedGraph, apply_permutation, parse_graph
 
 G1 = "vertex a\n"
 G2 = "vertex a\nvertex b\nedge a b\n"
@@ -11,6 +11,9 @@ G3 = "vertex a\nvertex b\nvertex c\nedge a b\nedge b c\n"
 G4 = "vertex a\nedge a a\n"
 G5 = "vertex a\nvertex b\nvertex c\nedge a b\n"
 TRIANGLE = "vertex a\nvertex b\nvertex c\nedge a b\nedge b c\nedge a c\n"
+# Cycle lengths whose boolean period, lcm = 4620, exceeds the reachability
+# table's POWER_CAP of 4096.
+PAST_POWER_CAP = (3, 4, 5, 7, 11)
 
 
 @pytest.fixture
@@ -57,6 +60,23 @@ def random_graph(rng: random.Random, n: int, density: float = 0.5, prefix="x"):
                 row |= 1 << w
         rows.append(row)
     return make_graph(rows, prefix=prefix)
+
+
+def cycle_union(lengths, prefix="x"):
+    """Disjoint directed cycles of the given lengths, numbered consecutively."""
+    rows = []
+    for length in lengths:
+        start = len(rows)
+        rows += [1 << (start + (i + 1) % length) for i in range(length)]
+    return make_graph(rows, prefix=prefix)
+
+
+def relabeled_image(g, phi, prefix="y"):
+    """The graph on which the bijection ``phi`` is an isomorphism from ``g``."""
+    inv = [0] * len(phi)
+    for v, x in enumerate(phi):
+        inv[x] = v
+    return apply_permutation(g, inv, [f"{prefix}{i}" for i in range(len(phi))])
 
 
 def all_graphs(n, prefix="x"):

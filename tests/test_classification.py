@@ -6,6 +6,7 @@ import pytest
 from amplify.classification import (
     LatticeIsoData,
     VHSpec,
+    _is_lattice_iso,
     check_lemma23,
     decide_gauge_iso,
     decide_stable_iso,
@@ -22,7 +23,15 @@ from amplify.graphs import (
 )
 from amplify.isomorph import canonical_form
 
-from conftest import all_graphs, brute_force_isomorphism, make_graph, random_graph
+from conftest import (
+    PAST_POWER_CAP,
+    all_graphs,
+    brute_force_isomorphism,
+    cycle_union,
+    make_graph,
+    random_graph,
+    relabeled_image,
+)
 
 
 def _is_witness(g, h, phi):
@@ -139,6 +148,65 @@ class TestValidate:
         assert not validate_lattice_iso(g2, g2, LatticeIsoData((0, 1), (0, 1)))
 
 
+class TestIsLatticeIso:
+    """The O(n^2) component-shift test against the horizon-scan definition."""
+
+    def test_agrees_with_definition_exhaustive_small(self):
+        rng = random.Random(137)
+        cases = valid = 0
+        for n in range(1, 4):
+            shifts = list(itertools.product((-1, 0, 1), repeat=n))
+            for e in all_graphs(n):
+                other = random_graph(rng, n, density=0.5, prefix="y")
+                for phi in itertools.permutations(range(n)):
+                    for f in (relabeled_image(e, phi), other):
+                        for shift in shifts:
+                            rho = LatticeIsoData(phi, shift)
+                            expected = validate_lattice_iso(e, f, rho)
+                            assert _is_lattice_iso(e, f, rho) == expected, (e, f, rho)
+                            cases += 1
+                            valid += expected
+        assert cases == 166476 and valid > 10000
+
+    def test_agrees_with_definition_sampled(self):
+        rng = random.Random(139)
+        valid = 0
+        for _ in range(10000):
+            n = rng.randint(4, 5)
+            e = random_graph(rng, n, density=rng.uniform(0.1, 0.6))
+            phi = list(range(n))
+            rng.shuffle(phi)
+            if rng.random() < 0.75:
+                f = relabeled_image(e, phi)
+            else:
+                f = random_graph(rng, n, density=rng.uniform(0.1, 0.6), prefix="y")
+            comp = weakly_connected_components(e)
+            per_comp = [rng.randint(-2, 2) for _ in range(comp.component_count)]
+            shift = [per_comp[c] for c in comp.component_of]
+            if rng.random() < 0.5:
+                shift[rng.randrange(n)] += rng.choice((-1, 1))
+            rho = LatticeIsoData(tuple(phi), tuple(shift))
+            expected = validate_lattice_iso(e, f, rho)
+            assert _is_lattice_iso(e, f, rho) == expected, (e, f, rho)
+            valid += expected
+        assert 1000 < valid < 9000
+
+    def test_rejects_malformed_like_definition(self, g1, g2):
+        cases = (
+            (g2, g1, LatticeIsoData((0,), (0,))),
+            (g2, g2, LatticeIsoData((0, 0), (0, 0))),
+            (g2, g2, LatticeIsoData((0, 1), (0,))),
+            (g2, g2, LatticeIsoData((1, 1), (0,))),
+        )
+        for e, f, rho in cases:
+            messages = []
+            for check in (validate_lattice_iso, _is_lattice_iso):
+                with pytest.raises(ValueError) as info:
+                    check(e, f, rho)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+
+
 class TestNormalize:
     def test_identity_unchanged(self, g3):
         rho = LatticeIsoData((0, 1, 2), (0, 0, 0))
@@ -158,6 +226,20 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize_lattice_iso(g2, g2, LatticeIsoData((0, 1), (0, 7)))
 
+    def test_past_power_cap_shifts_cleared(self):
+        e = cycle_union(PAST_POWER_CAP)
+        n = e.vertex_count
+        phi = list(range(n))
+        random.Random(149).shuffle(phi)
+        f = relabeled_image(e, phi)
+        # a distinct shift on each of the five cycles
+        shift = weakly_connected_components(e).component_of
+        out = normalize_lattice_iso(e, f, LatticeIsoData(tuple(phi), shift))
+        assert out == LatticeIsoData(tuple(phi), (0,) * n)
+        skewed = (shift[0] + 1,) + shift[1:]
+        with pytest.raises(ValueError, match="not a lattice isomorphism"):
+            normalize_lattice_iso(e, f, LatticeIsoData(tuple(phi), skewed))
+
     def test_random_validated_instances(self):
         rng = random.Random(107)
         done = 0
@@ -166,12 +248,7 @@ class TestNormalize:
             e = random_graph(rng, n, density=0.35)
             sigma = list(range(n))
             rng.shuffle(sigma)
-            # position sigma[i] of f holds vertex i of e: f = e relabeled by
-            # the inverse, so that phi = sigma is an isomorphism e -> f
-            inv = [0] * n
-            for i, s in enumerate(sigma):
-                inv[s] = i
-            f = apply_permutation(e, inv, [f"y{i}" for i in range(n)])
+            f = relabeled_image(e, sigma)
             comp = weakly_connected_components(e)
             per_comp = [rng.randint(-3, 3) for _ in range(comp.component_count)]
             shift = tuple(per_comp[comp.component_of[v]] for v in range(n))
@@ -195,6 +272,13 @@ class TestVerdicts:
 
     def test_gauge_loop_vs_plain(self, g1, g4):
         assert not decide_gauge_iso(g1, g4).isomorphic
+
+    def test_gauge_cross_check_rejects_bad_witness(self, g2, monkeypatch):
+        h = parse_graph("vertex x\nvertex y\nedge x y\n")
+        # a->y, b->x sends the edge a -> b to the missing y -> x
+        monkeypatch.setattr("amplify.classification.digraph_isomorphism", lambda e, f: (1, 0))
+        with pytest.raises(RuntimeError, match="witness failed the lattice cross-check"):
+            decide_gauge_iso(g2, h)
 
     def test_stable_closure_pair(self, g3, triangle):
         assert decide_stable_iso(g3, triangle).isomorphic

@@ -1,10 +1,13 @@
 import itertools
+import random
 from pathlib import Path
 
 import pytest
 
 from amplify.cli import run
-from amplify.graphs import parse_graph
+from amplify.graphs import parse_graph, to_text, weakly_connected_components
+
+from conftest import PAST_POWER_CAP, cycle_union, relabeled_image
 
 DATA = Path(__file__).parent / "data"
 CORPUS = DATA / "corpus"
@@ -122,6 +125,20 @@ class TestVerbs:
         )
         assert code == 0
         assert out == "map: a->a:0, b->b:0, c->c:0\n"
+
+    def test_normalize_iso_past_power_cap(self, capsys, tmp_path):
+        e = cycle_union(PAST_POWER_CAP)
+        n = e.vertex_count
+        phi = list(range(n))
+        random.Random(151).shuffle(phi)
+        (tmp_path / "e.graph").write_text(to_text(e))
+        (tmp_path / "f.graph").write_text(to_text(relabeled_image(e, phi)))
+        shift = weakly_connected_components(e).component_of
+        argv = ["normalize-iso", "e.graph", "f.graph"]
+        argv += [f"x{v}=y{phi[v]}:{shift[v]}" for v in range(n)]
+        code, out, _ = invoke(argv, capsys, cwd=tmp_path)
+        assert code == 0
+        assert out == "map: " + ", ".join(f"x{v}->y{phi[v]}:0" for v in range(n)) + "\n"
 
 
 class TestGolden:
