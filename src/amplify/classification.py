@@ -12,14 +12,14 @@ from itertools import permutations, product
 
 from .graphs import (
     AmplifiedGraph,
-    ComponentPartition,
     amplified_transitive_closure,
     apply_permutation,
+    bits,
+    induced_subgraph,
     weakly_connected_components,
 )
 from .isomorph import canonical_form, digraph_isomorphism
 from .reachability import build_reachability, exact_reach
-from .skewlattice import PrincipalHereditary, in_vertex_window, principal_contains, translate
 
 SEARCH_VERTEX_CAP = 6
 SEARCH_SHIFT_CAP = 3
@@ -92,24 +92,12 @@ def reconstruct(graph: AmplifiedGraph) -> tuple[AmplifiedGraph, tuple[int, ...]]
     """Rebuild the graph from its principal lattice data.
 
     Vertices of the rebuilt graph are the level-0 principal sets; there is an
-    edge H(v,0) -> H(w,0) exactly when the translate of H(w,0) by one level
-    sits inside H(v,0).  Returns the rebuilt graph and the witness bijection
-    v -> H(v,0) (as an index map), which the isomorphism checker accepts.
+    edge H(v,0) -> H(w,0) exactly when H(w,1) sits inside H(v,0), that is,
+    when v -> w is an edge.  Returns the rebuilt graph and the witness
+    bijection v -> H(v,0) (an index map) that the isomorphism checker accepts.
     """
-    n = graph.vertex_count
-    table = build_reachability(graph)
-    tokens = [PrincipalHereditary(graph, v, 0) for v in range(n)]
-    assert all(in_vertex_window(t) for t in tokens)
-    rows = []
-    for v in range(n):
-        row = 0
-        for w in range(n):
-            if principal_contains(table, translate(tokens[w], 1), tokens[v]):
-                row |= 1 << w
-        rows.append(row)
     names = tuple(f"H_{name}_0" for name in graph.names)
-    rebuilt = AmplifiedGraph(names, tuple(rows))
-    return rebuilt, tuple(range(n))
+    return AmplifiedGraph(names, graph.rows), tuple(range(graph.vertex_count))
 
 
 def check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Report:
@@ -120,6 +108,15 @@ def check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Report:
     one-step containment relation connects all of V.  If both hold the
     levels must be a single constant n, and that n is reported; a concrete
     witness is attached otherwise.
+
+    Decided from adjacency.  H(v, n_v) lies inside the m-translate of
+    H(w, n_w) iff a path w -> v has length n_v - n_w - m.  (1) So
+    shift-containment fails iff some non-loop edge climbs in level: along a
+    path w -> v (w != v) no longer than n_v - n_w the level gains sum to at
+    least its length, so some step gains at least 1.  (2) If no edge climbs,
+    a length-(n_w + 1 - n_v) path v -> w has length 1 and n_w = n_v: the
+    one-step containments are the equal-level edges, and in a connected
+    graph they connect V iff the levels are constant.
     """
     n = graph.vertex_count
     if n == 0:
@@ -129,63 +126,65 @@ def check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Report:
     if weakly_connected_components(graph).component_count != 1:
         raise ValueError("graph is not connected")
     levels = spec.levels
-    table = build_reachability(graph)
-
-    def partition_for():
-        for u in range(n):
-            low = tuple(v for v in range(n) if levels[v] < levels[u])
-            if low:
-                high = tuple(v for v in range(n) if levels[v] >= levels[u])
-                return low, high
-        return None
-
-    # Shift-containment: H(v, n_v) inside the m-translate of H(w, n_w) for
-    # some m >= 0 requires a path of length n_v - n_w - m from w to v.
+    lowest = min(levels)
     for v in range(n):
-        for w in range(n):
-            if v == w:
-                continue
-            for m in range(0, levels[v] - levels[w] + 1):
-                if exact_reach(table, w, v, levels[v] - levels[w] - m):
-                    return Lemma23Report(
-                        verdict="violated",
-                        violated_condition="cond3-shift-containment",
-                        witness=((v, w), m),
-                        partition=partition_for(),
-                    )
+        # Shift-containment: search back from v for the first w with a path
+        # w -> v (w != v) of length k <= n_v - n_w; shortest ones have k < n.
+        hits, seen, frontier = 0, 1 << v, 1 << v
+        for k in range(1, min(levels[v] - lowest, n - 1) + 1):
+            back = 0
+            for u in bits(frontier):
+                back |= graph.columns[u]
+            frontier = back & ~seen
+            seen |= frontier
+            hits |= sum(1 << w for w in bits(frontier) if levels[v] - levels[w] >= k)
+        if hits:
+            w = next(bits(hits))
+            d = levels[v] - levels[w]
+            condition = "cond3-shift-containment"
+            witness = ((v, w), d - _longest_walk(graph.rows, w, v, d))
+            break
+    else:
+        same = [v for v in range(n) if levels[v] == levels[0]]
+        comp = weakly_connected_components(induced_subgraph(graph, same)).component_of
+        joined = {v for v, c in zip(same, comp) if c == comp[0]}
+        outside = next((v for v in range(n) if v not in joined), None)
+        if outside is None:
+            return Lemma23Report(verdict="constant", level=levels[0])
+        condition, witness = "cond2-connectivity", (0, outside)
+    # Either violation makes the levels non-constant.
+    top = next(lv for lv in levels if lv > lowest)
+    return Lemma23Report(
+        verdict="violated",
+        violated_condition=condition,
+        witness=witness,
+        partition=(
+            tuple(v for v in range(n) if levels[v] < top),
+            tuple(v for v in range(n) if levels[v] >= top),
+        ),
+    )
 
-    # Connectivity of the symmetrized one-step containment relation on V.
-    und = [0] * n
-    for v in range(n):
-        for w in range(n):
-            if v != w and exact_reach(table, v, w, levels[w] + 1 - levels[v]):
-                und[v] |= 1 << w
-                und[w] |= 1 << v
-    seen = 1
-    frontier = 1
-    while frontier:
+
+def _longest_walk(rows: tuple[int, ...], w: int, v: int, d: int) -> int:
+    """The largest k <= d with a length-k walk w -> v; one must exist.
+
+    Walks the frontiers (ends of length-k walks from w) to d or to the first
+    repeat; if frontier p recurs at p + q, a hit at j >= p recurs last at
+    d - (d - j) mod q.
+    """
+    walk, index = [1 << w], {1 << w: 0}
+    start, period = d + 1, 1
+    while len(walk) <= d:
         nxt = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            nxt |= und[v] & ~seen
-        seen |= nxt
-        frontier = nxt
-    if seen != (1 << n) - 1:
-        outside = next(v for v in range(n) if not (seen >> v) & 1)
-        return Lemma23Report(
-            verdict="violated",
-            violated_condition="cond2-connectivity",
-            witness=(0, outside),
-            partition=partition_for(),
-        )
-
-    if any(lv != levels[0] for lv in levels):
-        raise RuntimeError(
-            "internal inconsistency: conditions hold for non-constant levels"
-        )
-    return Lemma23Report(verdict="constant", level=levels[0])
+        for u in bits(walk[-1]):
+            nxt |= rows[u]
+        if nxt in index:
+            start, period = index[nxt], len(walk) - index[nxt]
+            break
+        index[nxt] = len(walk)
+        walk.append(nxt)
+    hits = (j for j, frontier in enumerate(walk) if (frontier >> v) & 1)
+    return max(j if j < start else d - (d - j) % period for j in hits)
 
 
 def _require_bijection(
@@ -309,8 +308,8 @@ def search_bounded_iso(
     """
     if e.vertex_count > SEARCH_VERTEX_CAP or f.vertex_count > SEARCH_VERTEX_CAP:
         raise ValueError(f"oracle capped at {SEARCH_VERTEX_CAP} vertices")
-    if bound > SEARCH_SHIFT_CAP:
-        raise ValueError(f"oracle shift bound capped at {SEARCH_SHIFT_CAP}")
+    if not 0 <= bound <= SEARCH_SHIFT_CAP:
+        raise ValueError(f"oracle shift bound must lie in 0..{SEARCH_SHIFT_CAP}")
     n = e.vertex_count
     if f.vertex_count != n:
         return None

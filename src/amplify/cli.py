@@ -216,15 +216,14 @@ def _dispatch(args, emit) -> int:
         else:
             v, w = report.witness
             emit(f"witness: ({graph.names[v]},{graph.names[w]})\n")
-        if report.partition is not None:
-            low, high = report.partition
-            emit(
-                "partition: L={%s} G={%s}\n"
-                % (
-                    ",".join(graph.names[v] for v in low),
-                    ",".join(graph.names[v] for v in high),
-                )
+        low, high = report.partition
+        emit(
+            "partition: L={%s} G={%s}\n"
+            % (
+                ",".join(graph.names[v] for v in low),
+                ",".join(graph.names[v] for v in high),
             )
+        )
         return 1
 
     if args.verb == "normalize-iso":

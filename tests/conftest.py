@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from amplify.graphs import AmplifiedGraph, apply_permutation, parse_graph
+from amplify.classification import Lemma23Report, VHSpec
+from amplify.graphs import (
+    AmplifiedGraph,
+    apply_permutation,
+    parse_graph,
+    weakly_connected_components,
+)
+from amplify.reachability import build_reachability, exact_reach
 
 G1 = "vertex a\n"
 G2 = "vertex a\nvertex b\nedge a b\n"
@@ -71,6 +78,17 @@ def cycle_union(lengths, prefix="x"):
     return make_graph(rows, prefix=prefix)
 
 
+def chained_cycle_union(lengths, prefix="x"):
+    """``cycle_union`` plus an edge from each cycle's first vertex to the
+    next cycle's first vertex, which makes it weakly connected."""
+    g = cycle_union(lengths, prefix=prefix)
+    rows = list(g.rows)
+    firsts = list(itertools.accumulate(lengths, initial=0))[:-1]
+    for a, b in zip(firsts, firsts[1:]):
+        rows[a] |= 1 << b
+    return make_graph(rows, prefix=prefix)
+
+
 def relabeled_image(g, phi, prefix="y"):
     """The graph on which the bijection ``phi`` is an isomorphism from ``g``."""
     inv = [0] * len(phi)
@@ -100,3 +118,76 @@ def brute_force_isomorphism(g, h):
         ):
             return perm
     return None
+
+
+def reference_check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Report:
+    """Basepoint detection read off the definition over the power table.
+
+    The test oracle for ``check_lemma23``: every containment is one
+    ``exact_reach`` call, and the shift m is scanned upward from 0.
+    """
+    n = graph.vertex_count
+    if n == 0:
+        raise ValueError("empty graph")
+    if len(spec.levels) != n:
+        raise ValueError("level map does not cover every vertex")
+    if weakly_connected_components(graph).component_count != 1:
+        raise ValueError("graph is not connected")
+    levels = spec.levels
+    table = build_reachability(graph)
+
+    def partition_for():
+        for u in range(n):
+            low = tuple(v for v in range(n) if levels[v] < levels[u])
+            if low:
+                high = tuple(v for v in range(n) if levels[v] >= levels[u])
+                return low, high
+        return None
+
+    # Shift-containment: H(v, n_v) inside the m-translate of H(w, n_w) for
+    # some m >= 0 requires a path of length n_v - n_w - m from w to v.
+    for v in range(n):
+        for w in range(n):
+            if v == w:
+                continue
+            for m in range(0, levels[v] - levels[w] + 1):
+                if exact_reach(table, w, v, levels[v] - levels[w] - m):
+                    return Lemma23Report(
+                        verdict="violated",
+                        violated_condition="cond3-shift-containment",
+                        witness=((v, w), m),
+                        partition=partition_for(),
+                    )
+
+    # Connectivity of the symmetrized one-step containment relation on V.
+    und = [0] * n
+    for v in range(n):
+        for w in range(n):
+            if v != w and exact_reach(table, v, w, levels[w] + 1 - levels[v]):
+                und[v] |= 1 << w
+                und[w] |= 1 << v
+    seen = 1
+    frontier = 1
+    while frontier:
+        nxt = 0
+        m = frontier
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            nxt |= und[v] & ~seen
+        seen |= nxt
+        frontier = nxt
+    if seen != (1 << n) - 1:
+        outside = next(v for v in range(n) if not (seen >> v) & 1)
+        return Lemma23Report(
+            verdict="violated",
+            violated_condition="cond2-connectivity",
+            witness=(0, outside),
+            partition=partition_for(),
+        )
+
+    if any(lv != levels[0] for lv in levels):
+        raise RuntimeError(
+            "internal inconsistency: conditions hold for non-constant levels"
+        )
+    return Lemma23Report(verdict="constant", level=levels[0])

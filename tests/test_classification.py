@@ -22,14 +22,18 @@ from amplify.graphs import (
     weakly_connected_components,
 )
 from amplify.isomorph import canonical_form
+from amplify.reachability import build_reachability
+from amplify.skewlattice import PrincipalHereditary, principal_contains, translate
 
 from conftest import (
     PAST_POWER_CAP,
     all_graphs,
     brute_force_isomorphism,
+    chained_cycle_union,
     cycle_union,
     make_graph,
     random_graph,
+    reference_check_lemma23,
     relabeled_image,
 )
 
@@ -41,6 +45,12 @@ def _is_witness(g, h, phi):
         for v in range(n)
         for w in range(n)
     )
+
+
+def _positive_shift(report):
+    """Whether a shift-containment witness needs a translate m > 0."""
+    cond3 = report.violated_condition == "cond3-shift-containment"
+    return cond3 and report.witness[1] > 0
 
 
 class TestReconstruct:
@@ -74,6 +84,23 @@ class TestReconstruct:
             g = random_graph(rng, rng.randint(4, 8), density=rng.uniform(0.1, 0.9))
             rebuilt, iso = reconstruct(g)
             assert _is_witness(g, rebuilt, iso)
+
+    def test_matches_principal_containment_exhaustive_small(self):
+        # the edge H(v,0) -> H(w,0) is the containment H(w,1) inside H(v,0)
+        for n in range(1, 4):
+            for g in all_graphs(n):
+                table = build_reachability(g)
+                tokens = [PrincipalHereditary(g, v, 0) for v in range(n)]
+                rebuilt, _ = reconstruct(g)
+                for v, w in itertools.product(range(n), repeat=2):
+                    inside = principal_contains(table, translate(tokens[w], 1), tokens[v])
+                    assert rebuilt.has_edge(v, w) == inside
+
+    @pytest.mark.parametrize("build", [cycle_union, chained_cycle_union])
+    def test_past_power_cap(self, build):
+        g = build(PAST_POWER_CAP)
+        rebuilt, iso = reconstruct(g)
+        assert rebuilt.rows == g.rows and iso == tuple(range(g.vertex_count))
 
 
 class TestCheckLemma23:
@@ -112,6 +139,72 @@ class TestCheckLemma23:
             level = rng.randint(-3, 3)
             report = check_lemma23(g, VHSpec((level,) * n))
             assert report.verdict == "constant" and report.level == level
+
+    def test_agrees_with_reference_exhaustive_small(self):
+        cases = shifted = 0
+        for n in range(1, 4):
+            maps = list(itertools.product(range(-3, 4), repeat=n))
+            for g in all_graphs(n):
+                if weakly_connected_components(g).component_count != 1:
+                    continue
+                for spec in map(VHSpec, maps):
+                    report = check_lemma23(g, spec)
+                    assert report == reference_check_lemma23(g, spec), (g, spec)
+                    cases += 1
+                    shifted += _positive_shift(report)
+        assert cases == 148778 and shifted == 11438
+
+    def test_agrees_with_reference_sampled(self):
+        rng = random.Random(157)
+        shifted = 0
+        for _ in range(20000):
+            n = rng.randint(2, 9)
+            g = random_graph(rng, n, density=rng.uniform(0.1, 0.5))
+            if weakly_connected_components(g).component_count != 1:
+                continue
+            spread = rng.choice((1, 3, 10, 50, 200))
+            if rng.random() < 0.5:
+                levels = tuple(rng.randint(0, spread) for _ in range(n))
+            else:
+                # one raised vertex: its witness needs the longest path
+                raised = rng.randrange(n)
+                levels = tuple(spread * (v == raised) for v in range(n))
+            spec = VHSpec(levels)
+            report = check_lemma23(g, spec)
+            assert report == reference_check_lemma23(g, spec), (g, spec)
+            shifted += _positive_shift(report)
+        assert shifted > 1000
+
+    def test_past_power_cap(self):
+        g = chained_cycle_union(PAST_POWER_CAP)
+        n = g.vertex_count
+        report = check_lemma23(g, VHSpec((0,) * n))
+        assert report.verdict == "constant" and report.level == 0
+        # one level per cycle: the chain edge x0 -> x3 climbs from 0 to 1
+        levels = weakly_connected_components(cycle_union(PAST_POWER_CAP)).component_of
+        report = check_lemma23(g, VHSpec(levels))
+        assert report.violated_condition == "cond3-shift-containment"
+        assert report.witness == ((3, 0), 0)
+        assert report.partition == ((0, 1, 2), tuple(range(3, n)))
+
+    def test_huge_level_on_two_cycle(self):
+        # paths b -> a have the odd lengths; the longest within 10^9 is 10^9 - 1
+        report = check_lemma23(make_graph([0b10, 0b01]), VHSpec((10**9, 0)))
+        assert report.witness == ((0, 1), 1)
+        assert report.partition == ((1,), (0,))
+
+    def test_huge_level_past_power_cap(self):
+        # a hub x0 with an edge to the first vertex of each cycle; x23 lies
+        # three steps along the 11-cycle, so paths x0 -> x23 have the lengths
+        # 4 + 11t, and 10^6 - 8 is the longest of them within 10^6
+        firsts = itertools.accumulate(PAST_POWER_CAP[:-1], initial=0)
+        hub = sum(2 << f for f in firsts)
+        g = make_graph([hub] + [row << 1 for row in cycle_union(PAST_POWER_CAP).rows])
+        levels = [0] * g.vertex_count
+        levels[23] = 10**6
+        report = check_lemma23(g, VHSpec(tuple(levels)))
+        assert report.violated_condition == "cond3-shift-containment"
+        assert report.witness == ((23, 0), 8)
 
     def test_nonconstant_maps_always_fail(self):
         # exhaustive over level maps on a couple of graph shapes
@@ -343,6 +436,8 @@ class TestBoundedSearch:
             search_bounded_iso(big, big, 1)
         with pytest.raises(ValueError):
             search_bounded_iso(g2, g2, 4)
+        with pytest.raises(ValueError):
+            search_bounded_iso(g2, g2, -1)
 
     def test_agrees_with_gauge_verdict(self):
         rng = random.Random(127)

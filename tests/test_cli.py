@@ -7,7 +7,7 @@ import pytest
 from amplify.cli import run
 from amplify.graphs import parse_graph, to_text, weakly_connected_components
 
-from conftest import PAST_POWER_CAP, cycle_union, relabeled_image
+from conftest import PAST_POWER_CAP, chained_cycle_union, cycle_union, relabeled_image
 
 DATA = Path(__file__).parent / "data"
 CORPUS = DATA / "corpus"
@@ -118,6 +118,13 @@ class TestVerbs:
         assert out.startswith("found: true\n")
         assert "map: " in out
 
+    def test_oracle_rejects_negative_bound(self, capsys):
+        code, out, err = invoke(
+            ["oracle", "g3.graph", "g3_relabeled.graph", "--bound", "-1"], capsys
+        )
+        assert code == 2
+        assert not out and "shift bound" in err
+
     def test_normalize_iso_zeroes_shifts(self, capsys):
         code, out, _ = invoke(
             ["normalize-iso", "g5.graph", "g5.graph", "a=a:3", "b=b:3", "c=c:-1"],
@@ -139,6 +146,38 @@ class TestVerbs:
         code, out, _ = invoke(argv, capsys, cwd=tmp_path)
         assert code == 0
         assert out == "map: " + ", ".join(f"x{v}->y{phi[v]}:0" for v in range(n)) + "\n"
+
+    def test_check_h0_past_power_cap(self, capsys, tmp_path):
+        g = chained_cycle_union(PAST_POWER_CAP)
+        n = g.vertex_count
+        (tmp_path / "e.graph").write_text(to_text(g))
+        argv = ["check-h0", "e.graph"] + [f"x{v}=0" for v in range(n)]
+        code, out, _ = invoke(argv, capsys, cwd=tmp_path)
+        assert code == 0
+        assert out == "verdict: constant\nlevel: 0\n"
+        # one level per cycle: the chain edge x0 -> x3 climbs
+        levels = weakly_connected_components(cycle_union(PAST_POWER_CAP)).component_of
+        argv = ["check-h0", "e.graph"] + [f"x{v}={levels[v]}" for v in range(n)]
+        code, out, _ = invoke(argv, capsys, cwd=tmp_path)
+        assert code == 1
+        assert out == (
+            "verdict: violated\n"
+            "condition: cond3-shift-containment\n"
+            "witness: (x3,x0), n=0\n"
+            "partition: L={x0,x1,x2} G={" + ",".join(f"x{v}" for v in range(3, n)) + "}\n"
+        )
+
+    @pytest.mark.parametrize("build", [cycle_union, chained_cycle_union])
+    def test_reconstruct_past_power_cap(self, build, capsys, tmp_path):
+        g = build(PAST_POWER_CAP)
+        (tmp_path / "e.graph").write_text(to_text(g))
+        code, out, _ = invoke(["reconstruct", "e.graph"], capsys, cwd=tmp_path)
+        assert code == 0
+        rebuilt = parse_graph(out)
+        assert rebuilt.names == tuple(f"H_x{v}_0" for v in range(g.vertex_count))
+        assert rebuilt.rows == g.rows
+        witness = "".join(f"# witness: {name} -> H_{name}_0\n" for name in g.names)
+        assert out.endswith(witness)
 
 
 class TestGolden:
