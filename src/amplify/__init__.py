@@ -42,7 +42,6 @@ from .skewlattice import (
     PrincipalHereditary,
     SkewWindow,
     enumerate_hereditary,
-    in_vertex_window,
     principal_contains,
     principal_set_members,
     skew_window,

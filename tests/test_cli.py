@@ -167,6 +167,21 @@ class TestVerbs:
             "partition: L={x0,x1,x2} G={" + ",".join(f"x{v}" for v in range(3, n)) + "}\n"
         )
 
+    def test_stable_iso_on_relabeled_twelve_cycle(self, capsys, tmp_path):
+        # the closure is complete: all 12! canonical leaves tie
+        e = cycle_union([12])
+        phi = list(range(12))
+        random.Random(157).shuffle(phi)
+        (tmp_path / "e.graph").write_text(to_text(e))
+        (tmp_path / "f.graph").write_text(to_text(relabeled_image(e, phi)))
+        code, out, _ = invoke(["stable-iso", "e.graph", "f.graph"], capsys, cwd=tmp_path)
+        assert code == 0
+        complete = "".join(f"vertex v{i}\\n" for i in range(12)) + "".join(
+            f"edge v{i} v{j}\\n" for i in range(12) for j in range(12)
+        )
+        assert out.startswith("isomorphic: true\n")
+        assert out.endswith(f"canonical_E: {complete}\ncanonical_F: {complete}\n")
+
     @pytest.mark.parametrize("build", [cycle_union, chained_cycle_union])
     def test_reconstruct_past_power_cap(self, build, capsys, tmp_path):
         g = build(PAST_POWER_CAP)
@@ -188,3 +203,12 @@ class TestGolden:
             code, out, _ = invoke(argv, capsys)
             assert code == expected_code
             assert out.encode() == golden
+
+    def test_usage_errors_leave_the_parser_reusable(self, capsys):
+        # one process: usage errors between verbs change no later output
+        for stem, argv, expected_code in GOLDEN_CASES:
+            code, out, err = invoke(["skew-window", "g2.graph", "--window", "0"], capsys)
+            assert code == 2 and not out and "--window" in err
+            code, out, _ = invoke(argv, capsys)
+            assert code == expected_code
+            assert out.encode() == (GOLDEN / f"{stem}.txt").read_bytes()

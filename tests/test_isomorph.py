@@ -5,11 +5,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amplify import kernels
+from amplify import _pykernels, kernels
 from amplify.graphs import apply_permutation, parse_graph
 from amplify.isomorph import canonical_form, canonical_permutation, digraph_isomorphism
 
-from conftest import all_graphs, brute_force_isomorphism, make_graph, random_graph
+from conftest import (
+    all_graphs,
+    brute_force_isomorphism,
+    cycle_union,
+    make_graph,
+    random_graph,
+    reference_canonical_perm,
+    relabeled_image,
+)
+
+SYMMETRIC_FAMILIES = ("edgeless", "complete", "closure", "cycles", "copies")
+
+
+def symmetric_graph(family, n, rng):
+    """A randomly relabeled member of a symmetric family on n >= 1 vertices.
+
+    ``closure`` is every edge including loops: the amplified transitive
+    closure of any strongly connected graph.  ``copies`` is disjoint copies
+    of one random graph whose size divides n.
+    """
+    full = (1 << n) - 1
+    if family == "edgeless":
+        g = make_graph([0] * n)
+    elif family == "complete":
+        g = make_graph([full & ~(1 << v) for v in range(n)])
+    elif family == "closure":
+        g = make_graph([full] * n)
+    elif family == "cycles":
+        lengths = []
+        while sum(lengths) < n:
+            lengths.append(rng.randint(1, n - sum(lengths)))
+        g = cycle_union(lengths)
+    else:
+        size = rng.choice([c for c in range(1, n + 1) if n % c == 0])
+        one = random_graph(rng, size).rows
+        g = make_graph([row << start for start in range(0, n, size) for row in one])
+    phi = list(range(n))
+    rng.shuffle(phi)
+    return relabeled_image(g, phi, prefix="x")
 
 
 def _is_witness(g, h, phi):
@@ -156,6 +194,73 @@ class TestKernelBackends:
                 corner_key(g, p) for p in itertools.permutations(range(n))
             )
             assert corner_key(g, perm) == best
+
+
+class TestCanonicalPruning:
+    """The automorphism-pruned kernel returns the unpruned kernel's labeling."""
+
+    def test_matches_reference_exhaustive_small(self):
+        for n in range(4):
+            for g in all_graphs(n):
+                assert _pykernels.canonical_perm(n, g.rows) == reference_canonical_perm(
+                    n, g.rows
+                )
+
+    def test_matches_reference_on_symmetric_families(self):
+        rng = random.Random(37)
+        for family in SYMMETRIC_FAMILIES:
+            for n in range(1, 8):
+                for _ in range(6):
+                    g = symmetric_graph(family, n, rng)
+                    assert _pykernels.canonical_perm(
+                        n, g.rows
+                    ) == reference_canonical_perm(n, g.rows), (family, g.rows)
+
+    def test_matches_reference_on_cycle_unions(self):
+        # automorphism groups far from the full symmetric group: pruning by
+        # automorphisms that move the prefix changes the labeling here
+        def partitions(total, smallest=2):
+            if total == 0:
+                yield ()
+            for first in range(smallest, total + 1):
+                for rest in partitions(total - first, first):
+                    yield (first,) + rest
+
+        rng = random.Random(41)
+        for n in range(2, 11):
+            for lengths in partitions(n):
+                for _ in range(3):
+                    phi = list(range(n))
+                    rng.shuffle(phi)
+                    g = relabeled_image(cycle_union(lengths), phi)
+                    assert _pykernels.canonical_perm(
+                        n, g.rows
+                    ) == reference_canonical_perm(n, g.rows), (lengths, phi)
+
+    @given(
+        st.sampled_from(SYMMETRIC_FAMILIES),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_form_relabeling_invariant_on_symmetric_families(
+        self, family, n, seed
+    ):
+        rng = random.Random(seed)
+        g = symmetric_graph(family, n, rng)
+        phi = list(range(n))
+        rng.shuffle(phi)
+        assert canonical_form(relabeled_image(g, phi)) == canonical_form(g)
+
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_edgeless_and_complete_ten_vertices(self, loops):
+        # factorial without pruning: all 10! leaves tie
+        full = (1 << 10) - 1
+        loop = [(1 << v) if loops else 0 for v in range(10)]
+        identity = tuple(range(10))
+        assert _pykernels.canonical_perm(10, loop) == identity
+        complete = [full & ~(1 << v) | loop[v] for v in range(10)]
+        assert _pykernels.canonical_perm(10, complete) == identity
 
 
 def test_canonical_permutation_consistent(g3):

@@ -8,7 +8,6 @@ from amplify.skewlattice import (
     FiniteHereditarySet,
     PrincipalHereditary,
     enumerate_hereditary,
-    in_vertex_window,
     principal_contains,
     principal_set_members,
     skew_window,
@@ -147,13 +146,6 @@ class TestPrincipalContains:
                             t, h2, h1
                         ):
                             assert h1 == h2
-
-
-class TestVertexWindow:
-    def test_level_zero_only(self, g2):
-        assert in_vertex_window(PrincipalHereditary(g2, 0, 0))
-        assert not in_vertex_window(PrincipalHereditary(g2, 0, 1))
-        assert not in_vertex_window(PrincipalHereditary(g2, 0, -1))
 
 
 class TestHereditaryEnumeration:
