@@ -88,16 +88,6 @@ class AmplifiedGraph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 
-    @classmethod
-    def from_edges(
-        cls, names: Sequence[str], edges: Sequence[tuple[str, str]]
-    ) -> "AmplifiedGraph":
-        index = {name: i for i, name in enumerate(names)}
-        rows = [0] * len(names)
-        for src, dst in edges:
-            rows[index[src]] |= 1 << index[dst]
-        return cls(tuple(names), tuple(rows))
-
 
 @dataclass(frozen=True)
 class ComponentPartition:
@@ -105,9 +95,6 @@ class ComponentPartition:
 
     component_of: tuple[int, ...]
     component_count: int
-
-    def members(self, c: int) -> list[int]:
-        return [v for v, cv in enumerate(self.component_of) if cv == c]
 
 
 def parse_graph(text: str) -> AmplifiedGraph:

@@ -39,9 +39,6 @@ class FiniteHereditarySet:
     graph: AmplifiedGraph
     members: int
 
-    def contains(self, v: int) -> bool:
-        return (self.members >> v) & 1 == 1
-
     def issubset(self, other: "FiniteHereditarySet") -> bool:
         return self.members & ~other.members == 0
 

@@ -106,7 +106,11 @@ def all_graphs(n, prefix="x"):
 
 
 def brute_force_isomorphism(g, h):
-    """Exhaustive bijection search; the test oracle for the pruned search."""
+    """Exhaustive bijection search; the test oracle for the pruned search.
+
+    Permutations are tried in lexicographic order, so the witness returned is
+    the lex-least one, which ``digraph_isomorphism`` must return as well.
+    """
     n = g.vertex_count
     if h.vertex_count != n:
         return None
