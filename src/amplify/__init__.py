@@ -27,7 +27,6 @@ from .graphs import (
     ParseError,
     amplified_transitive_closure,
     apply_permutation,
-    induced_subgraph,
     parse_graph,
     t_move,
     t_move_fixpoint,
@@ -36,7 +35,7 @@ from .graphs import (
 )
 from .isomorph import canonical_form, canonical_permutation, digraph_isomorphism
 from .kernels import BACKEND
-from .reachability import ReachabilityTable, build_reachability, exact_reach, reaches
+from .reachability import ReachabilityTable, build_reachability, exact_reach
 from .skewlattice import (
     FiniteHereditarySet,
     PrincipalHereditary,

@@ -282,17 +282,10 @@ def decide_gauge_iso(e: AmplifiedGraph, f: AmplifiedGraph) -> Verdict:
 
 
 def decide_stable_iso(e: AmplifiedGraph, f: AmplifiedGraph) -> Verdict:
-    """Stable-isomorphism verdict: compare transitive closures up to iso."""
-    te = amplified_transitive_closure(e)
-    tf = amplified_transitive_closure(f)
-    witness = digraph_isomorphism(te, tf)
-    return Verdict(
-        isomorphic=witness is not None,
-        witness=witness,
-        graph_e=te,
-        graph_f=tf,
-        canonical_e=canonical_form(te),
-        canonical_f=canonical_form(tf),
+    """Stable-isomorphism verdict: the graded verdict of the transitive
+    closures, whose witness and canonical forms refer to the closures."""
+    return decide_gauge_iso(
+        amplified_transitive_closure(e), amplified_transitive_closure(f)
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import Callable
 
 from .classification import (
     LatticeIsoData,
@@ -45,52 +46,50 @@ def _load(path: str) -> AmplifiedGraph:
         raise RuntimeError(f"{path}: {exc}") from exc
 
 
-def _parse_levels(graph: AmplifiedGraph, pairs: list[str]) -> VHSpec:
-    levels: dict[int, int] = {}
+def _vertex(graph: AmplifiedGraph, name: str) -> int:
+    try:
+        return graph.vertex(name)
+    except KeyError as exc:
+        raise RuntimeError(exc.args[0]) from None
+
+
+def _read_assignments(
+    graph: AmplifiedGraph, pairs: list[str], want: str, read: Callable[[str], object]
+) -> tuple:
+    """The values of ``name=value`` arguments, one per vertex in order.
+
+    ``read`` converts a value and raises ValueError when it is malformed.  A
+    malformed pair, an unknown or repeated vertex, and a vertex left without
+    a value are errors.
+    """
+    values: dict[int, object] = {}
     for pair in pairs:
-        name, _, value = pair.partition("=")
-        if not value:
-            raise RuntimeError(f"bad level assignment {pair!r} (want v=n)")
+        name, _, text = pair.partition("=")
+        if not text:
+            raise RuntimeError(f"bad argument {pair!r} (want {want})")
+        v = _vertex(graph, name)
+        if v in values:
+            raise RuntimeError(f"vertex {name!r} given twice")
         try:
-            v = graph.vertex(name)
-        except KeyError as exc:
-            raise RuntimeError(str(exc)) from exc
-        try:
-            levels[v] = int(value)
+            values[v] = read(text)
         except ValueError:
-            raise RuntimeError(f"bad level value in {pair!r}") from None
-    missing = [graph.names[v] for v in range(graph.vertex_count) if v not in levels]
+            raise RuntimeError(f"bad value in {pair!r} (want {want})") from None
+    missing = [graph.names[v] for v in range(graph.vertex_count) if v not in values]
     if missing:
-        raise RuntimeError(f"no level given for vertices: {', '.join(missing)}")
-    return VHSpec(tuple(levels[v] for v in range(graph.vertex_count)))
+        raise RuntimeError(f"no value given for vertices: {', '.join(missing)}")
+    return tuple(values[v] for v in range(graph.vertex_count))
 
 
 def _parse_iso_map(
     e: AmplifiedGraph, f: AmplifiedGraph, pairs: list[str]
 ) -> LatticeIsoData:
-    phi: dict[int, int] = {}
-    shift: dict[int, int] = {}
-    for pair in pairs:
-        src, _, rest = pair.partition("=")
-        dst, _, level = rest.partition(":")
-        if not dst or not level:
-            raise RuntimeError(f"bad map entry {pair!r} (want v=x:n)")
-        try:
-            v = e.vertex(src)
-            x = f.vertex(dst)
-        except KeyError as exc:
-            raise RuntimeError(str(exc)) from exc
-        try:
-            shift[v] = int(level)
-        except ValueError:
-            raise RuntimeError(f"bad shift value in {pair!r}") from None
-        phi[v] = x
-    missing = [e.names[v] for v in range(e.vertex_count) if v not in phi]
-    if missing:
-        raise RuntimeError(f"no image given for vertices: {', '.join(missing)}")
+    def image(text: str) -> tuple[int, int]:
+        dst, _, level = text.partition(":")
+        return _vertex(f, dst), int(level)
+
+    images = _read_assignments(e, pairs, "v=x:n", image)
     return LatticeIsoData(
-        tuple(phi[v] for v in range(e.vertex_count)),
-        tuple(shift[v] for v in range(e.vertex_count)),
+        tuple(x for x, _ in images), tuple(shift for _, shift in images)
     )
 
 
@@ -202,13 +201,15 @@ def _dispatch(args, emit) -> int:
 
     if args.verb == "tmove":
         graph = _load(args.e)
-        result = t_move(graph, graph.vertex(args.u), graph.vertex(args.v), graph.vertex(args.w))
+        u, v, w = (_vertex(graph, name) for name in (args.u, args.v, args.w))
+        result = t_move(graph, u, v, w)
         emit(to_text(result))
         return 0
 
     if args.verb == "check-h0":
         graph = _load(args.e)
-        report = check_lemma23(graph, _parse_levels(graph, args.levels))
+        levels = _read_assignments(graph, args.levels, "v=n", int)
+        report = check_lemma23(graph, VHSpec(levels))
         emit(f"verdict: {report.verdict}\n")
         if report.verdict == "constant":
             emit(f"level: {report.level}\n")

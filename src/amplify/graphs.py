@@ -170,19 +170,6 @@ def _weak_fill(graph: AmplifiedGraph, seen: int, within: int) -> int:
     return seen
 
 
-def induced_subgraph(graph: AmplifiedGraph, vertices: Sequence[int]) -> AmplifiedGraph:
-    """Subgraph on the given vertices, in the given order."""
-    pos = {v: i for i, v in enumerate(vertices)}
-    rows = []
-    for v in vertices:
-        row = 0
-        for w in bits(graph.rows[v]):
-            if w in pos:
-                row |= 1 << pos[w]
-        rows.append(row)
-    return AmplifiedGraph(tuple(graph.names[v] for v in vertices), tuple(rows))
-
-
 def apply_permutation(
     graph: AmplifiedGraph,
     perm: Sequence[int],
@@ -221,17 +208,13 @@ def amplified_transitive_closure(graph: AmplifiedGraph) -> AmplifiedGraph:
     """Graph with an edge v -> w iff some path of length >= 1 runs v to w."""
     n = graph.vertex_count
     closure = list(graph.rows)
-    changed = True
-    while changed:
-        changed = False
+    # Warshall: after pass k, closure[v] holds every end of a path from v
+    # whose inner vertices all lie in 0..k.
+    for k in range(n):
+        bit, through = 1 << k, closure[k]
         for v in range(n):
-            row = closure[v]
-            acc = row
-            for u in bits(row):
-                acc |= closure[u]
-            if acc != row:
-                closure[v] = acc
-                changed = True
+            if closure[v] & bit:
+                closure[v] |= through
     return AmplifiedGraph(graph.names, tuple(closure))
 
 

@@ -40,7 +40,9 @@ def _bool_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=65536)
+# Two entries hold the traffic: search_bounded_iso validates every candidate
+# against the same two graphs, E and F.
+@lru_cache(maxsize=2)
 def _build(rows: tuple[int, ...]) -> ReachabilityTable:
     n = len(rows)
     identity = tuple(1 << i for i in range(n))
@@ -61,7 +63,10 @@ def _build(rows: tuple[int, ...]) -> ReachabilityTable:
 
 
 def build_reachability(graph: AmplifiedGraph) -> ReachabilityTable:
-    """Power table for the graph's edge relation (cached per relation)."""
+    """Power table for the graph's edge relation.
+
+    The tables of the last two relations asked for are cached.
+    """
     return _build(graph.rows)
 
 
@@ -74,10 +79,3 @@ def exact_reach(table: ReachabilityTable, v: int, w: int, k: int) -> bool:
         k = p + (k - p) % q
     return (table.powers[k][v] >> w) & 1 == 1
 
-
-def reaches(table: ReachabilityTable, v: int, w: int) -> bool:
-    """True iff a path of some length >= 0 runs from v to w."""
-    for power in table.powers:
-        if (power[v] >> w) & 1:
-            return True
-    return False

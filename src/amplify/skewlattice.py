@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import AmplifiedGraph, bits
-from .reachability import ReachabilityTable, build_reachability, exact_reach
+from .reachability import ReachabilityTable, exact_reach
 
 HEREDITARY_ENUM_CAP = 20
 
@@ -60,6 +60,8 @@ class SkewWindow:
     graph: AmplifiedGraph
 
     def vertex_index(self, v: int, level: int) -> int:
+        if not 0 <= v < self.base.vertex_count:
+            raise ValueError(f"vertex {v} outside the base graph")
         if not self.lo <= level <= self.hi:
             raise ValueError(f"level {level} outside window [{self.lo}, {self.hi}]")
         return (level - self.lo) * self.base.vertex_count + v
@@ -149,18 +151,19 @@ def unique_predecessor_elements(
 def principal_set_members(
     window: SkewWindow, h: PrincipalHereditary
 ) -> FiniteHereditarySet:
-    """The members of h's set with levels inside the window band."""
+    """The members of h's set with levels inside the window band.
+
+    Read off the band itself: the hereditary closure of (vertex, level) in
+    the window graph, whose edges climb one level at a time up to its top.
+    """
     if h.graph != window.base:
         raise ValueError("token refers to a different base graph")
-    if not window.lo <= h.level <= window.hi:
-        raise ValueError(
-            f"level {h.level} outside window [{window.lo}, {window.hi}]"
-        )
-    table = build_reachability(window.base)
-    n = window.base.vertex_count
-    members = 0
-    for level in range(h.level, window.hi + 1):
-        for w in range(n):
-            if exact_reach(table, h.vertex, w, level - h.level):
-                members |= 1 << window.vertex_index(w, level)
+    rows = window.graph.rows
+    members = frontier = 1 << window.vertex_index(h.vertex, h.level)
+    while frontier:
+        reach = 0
+        for u in bits(frontier):
+            reach |= rows[u]
+        frontier = reach & ~members
+        members |= frontier
     return FiniteHereditarySet(window.graph, members)

@@ -7,10 +7,12 @@ from amplify.classification import Lemma23Report, VHSpec
 from amplify.graphs import (
     AmplifiedGraph,
     apply_permutation,
+    bits,
     parse_graph,
     weakly_connected_components,
 )
 from amplify.reachability import build_reachability, exact_reach
+from amplify.skewlattice import unique_predecessor_elements
 
 G1 = "vertex a\n"
 G2 = "vertex a\nvertex b\nedge a b\n"
@@ -103,6 +105,54 @@ def all_graphs(n, prefix="x"):
         mask = (1 << n) - 1
         rows = tuple((packed >> (n * i)) & mask for i in range(n))
         yield make_graph(rows, prefix=prefix)
+
+
+def is_witness(g, h, phi):
+    """Whether the bijection ``phi`` carries the edges of g onto those of h."""
+    n = g.vertex_count
+    return all(
+        g.has_edge(v, w) == h.has_edge(phi[v], phi[w])
+        for v in range(n)
+        for w in range(n)
+    )
+
+
+def reach_sets_by_length(g, max_k):
+    """Forward recursion oracle: masks[k][v] = vertices at distance exactly k.
+
+    Computed directly per length with no periodicity reduction.
+    """
+    n = g.vertex_count
+    masks = [[1 << v for v in range(n)]]
+    for _ in range(max_k):
+        prev = masks[-1]
+        nxt = []
+        for v in range(n):
+            acc = 0
+            for u in bits(g.rows[v]):
+                acc |= prev[u]
+            nxt.append(acc)
+        masks.append(nxt)
+    return masks
+
+
+def recover_from_lattice(lattice, tau):
+    """Rebuild a graph from a hereditary-set lattice and its translation.
+
+    The paper's reconstruction, using nothing but the lattice order and
+    ``tau``: P is the set of elements with a unique predecessor, the
+    generators are the members of P outside tau(P), and x -> y is an edge
+    exactly when tau(y) lies inside x.  Returns the generators and the edge
+    rows over their positions.
+    """
+    principal = unique_predecessor_elements(lattice)
+    moved = {tau(x) for x in principal}
+    generators = [x for x in principal if x not in moved]
+    rows = [
+        sum(1 << j for j, y in enumerate(generators) if tau(y).issubset(x))
+        for x in generators
+    ]
+    return generators, rows
 
 
 def brute_force_isomorphism(g, h):

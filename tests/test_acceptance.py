@@ -37,7 +37,13 @@ from amplify.isomorph import canonical_form
 from amplify.reachability import build_reachability, exact_reach
 from amplify.skewlattice import enumerate_hereditary, unique_predecessor_elements
 
-from conftest import make_graph, random_graph
+from conftest import (
+    all_graphs,
+    is_witness,
+    make_graph,
+    random_graph,
+    reach_sets_by_length,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -46,34 +52,19 @@ def _report(number: int, name: str, detail: str) -> None:
     print(f"ACCEPTANCE {number} ({name}): PASS [{detail}]")
 
 
-def _packed_graphs(n):
-    mask = (1 << n) - 1
-    for packed in range(1 << (n * n)):
-        yield make_graph([(packed >> (n * i)) & mask for i in range(n)])
-
-
-def _is_witness(g, h, phi):
-    n = g.vertex_count
-    return all(
-        g.has_edge(v, w) == h.has_edge(phi[v], phi[w])
-        for v in range(n)
-        for w in range(n)
-    )
-
-
 def test_criterion_1_reconstruction():
     start = time.monotonic()
     checked = 0
     for n in range(1, 4):
-        for g in _packed_graphs(n):
+        for g in all_graphs(n):
             rebuilt, iso = reconstruct(g)
-            assert _is_witness(g, rebuilt, iso)
+            assert is_witness(g, rebuilt, iso)
             checked += 1
     rng = random.Random(2024)
     for _ in range(500):
         g = random_graph(rng, rng.randint(4, 8), density=rng.uniform(0.05, 0.95))
         rebuilt, iso = reconstruct(g)
-        assert _is_witness(g, rebuilt, iso)
+        assert is_witness(g, rebuilt, iso)
         checked += 1
     _report(1, "reconstruction", f"{checked} graphs, {time.monotonic() - start:.1f}s")
 
@@ -111,24 +102,9 @@ def test_criterion_2_unique_predecessor_characterization():
     _report(2, "unique-predecessor sets", f"{checked} acyclic graphs, {time.monotonic() - start:.1f}s")
 
 
-def _oracle_masks(g, max_k):
-    n = g.vertex_count
-    masks = [[1 << v for v in range(n)]]
-    for _ in range(max_k):
-        prev = masks[-1]
-        nxt = []
-        for v in range(n):
-            acc = 0
-            for u in bits(g.rows[v]):
-                acc |= prev[u]
-            nxt.append(acc)
-        masks.append(nxt)
-    return masks
-
-
 def _check_exact_reach(g, max_k=15):
     t = build_reachability(g)
-    masks = _oracle_masks(g, max_k)
+    masks = reach_sets_by_length(g, max_k)
     n = g.vertex_count
     rng_all = range(n)
     for k in range(max_k + 1):
@@ -143,7 +119,7 @@ def test_criterion_3_exact_length_reachability():
     start = time.monotonic()
     checked = 0
     for n in range(1, 5):
-        for g in _packed_graphs(n):
+        for g in all_graphs(n):
             _check_exact_reach(g)
             checked += 1
     rng = random.Random(2025)
@@ -158,7 +134,7 @@ def _connected_representatives(n):
     """One representative per isomorphism class of connected graphs on n."""
     reps = []
     seen = set()
-    for g in _packed_graphs(n):
+    for g in all_graphs(n):
         if weakly_connected_components(g).component_count != 1:
             continue
         form = canonical_form(g)

@@ -31,20 +31,12 @@ from conftest import (
     brute_force_isomorphism,
     chained_cycle_union,
     cycle_union,
+    is_witness,
     make_graph,
     random_graph,
     reference_check_lemma23,
     relabeled_image,
 )
-
-
-def _is_witness(g, h, phi):
-    n = g.vertex_count
-    return all(
-        g.has_edge(v, w) == h.has_edge(phi[v], phi[w])
-        for v in range(n)
-        for w in range(n)
-    )
 
 
 def _positive_shift(report):
@@ -62,7 +54,7 @@ class TestReconstruct:
     def test_single_edge(self, g2):
         rebuilt, iso = reconstruct(g2)
         assert list(rebuilt.edges()) == [(0, 1)]
-        assert _is_witness(g2, rebuilt, iso)
+        assert is_witness(g2, rebuilt, iso)
 
     def test_loop(self, g4):
         rebuilt, _ = reconstruct(g4)
@@ -76,14 +68,14 @@ class TestReconstruct:
         for n in range(1, 4):
             for g in all_graphs(n):
                 rebuilt, iso = reconstruct(g)
-                assert _is_witness(g, rebuilt, iso)
+                assert is_witness(g, rebuilt, iso)
 
     def test_round_trip_random(self):
         rng = random.Random(101)
         for _ in range(200):
             g = random_graph(rng, rng.randint(4, 8), density=rng.uniform(0.1, 0.9))
             rebuilt, iso = reconstruct(g)
-            assert _is_witness(g, rebuilt, iso)
+            assert is_witness(g, rebuilt, iso)
 
     def test_matches_principal_containment_exhaustive_small(self):
         # the edge H(v,0) -> H(w,0) is the containment H(w,1) inside H(v,0)

@@ -102,6 +102,30 @@ class TestVerbs:
         assert code == 2
         assert "b" in err and "c" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tmove", "g3.graph", "a", "b", "zz"],
+            ["check-h0", "g3.graph", "zz=1", "a=0", "b=0", "c=0"],
+        ],
+    )
+    def test_unknown_vertex_named_plainly(self, argv, capsys):
+        code, out, err = invoke(argv, capsys)
+        assert code == 2
+        assert not out and err == "amplify: no vertex named 'zz'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-h0", "g3.graph", "a=0", "b=0", "c=0", "a=5"],
+            ["normalize-iso", "g5.graph", "g5.graph", "a=a:0", "b=b:0", "c=c:0", "a=b:1"],
+        ],
+    )
+    def test_vertex_given_twice_rejected(self, argv, capsys):
+        code, out, err = invoke(argv, capsys)
+        assert code == 2
+        assert not out and err == "amplify: vertex 'a' given twice\n"
+
     def test_quiet_suppresses_output(self, capsys):
         code, out, _ = invoke(["--quiet", "iso", "g3.graph", "g3_relabeled.graph"], capsys)
         assert code == 0 and out == ""

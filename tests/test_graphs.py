@@ -11,7 +11,6 @@ from amplify.graphs import (
     amplified_transitive_closure,
     apply_permutation,
     bits,
-    induced_subgraph,
     parse_graph,
     t_move,
     t_move_fixpoint,
@@ -179,8 +178,3 @@ class TestHelpers:
         g = apply_permutation(g2, (1, 0))
         assert g.names == ("b", "a")
         assert g.has_edge(1, 0) and not g.has_edge(0, 1)
-
-    def test_induced_subgraph(self, g5):
-        sub = induced_subgraph(g5, [0, 1])
-        assert sub.names == ("a", "b")
-        assert sub.rows == (2, 0)

@@ -13,6 +13,7 @@ from conftest import (
     all_graphs,
     brute_force_isomorphism,
     cycle_union,
+    is_witness,
     make_graph,
     random_graph,
     reference_canonical_perm,
@@ -50,15 +51,6 @@ def symmetric_graph(family, n, rng):
     return relabeled_image(g, phi, prefix="x")
 
 
-def _is_witness(g, h, phi):
-    n = g.vertex_count
-    return all(
-        g.has_edge(v, w) == h.has_edge(phi[v], phi[w])
-        for v in range(n)
-        for w in range(n)
-    )
-
-
 class TestIsomorphism:
     def test_relabeled_edge(self, g2):
         h = parse_graph("vertex x\nvertex y\nedge x y\n")
@@ -70,7 +62,7 @@ class TestIsomorphism:
     def test_component_order_swapped(self, g5):
         h = parse_graph("vertex c\nvertex a\nvertex b\nedge a b\n")
         phi = digraph_isomorphism(g5, h)
-        assert phi is not None and _is_witness(g5, h, phi)
+        assert phi is not None and is_witness(g5, h, phi)
         assert brute_force_isomorphism(g5, h) is not None
 
     def test_size_mismatch(self, g1, g2):

@@ -5,29 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amplify.graphs import bits
-from amplify.reachability import build_reachability, exact_reach, reaches
+from amplify.reachability import build_reachability, exact_reach
 
-from conftest import all_graphs, make_graph, random_graph
-
-
-def reach_sets_by_length(g, max_k):
-    """Forward recursion oracle: masks[k][v] = vertices at distance exactly k.
-
-    Computed directly per length with no periodicity reduction.
-    """
-    n = g.vertex_count
-    masks = [[1 << v for v in range(n)]]
-    for _ in range(max_k):
-        prev = masks[-1]
-        nxt = []
-        for v in range(n):
-            acc = 0
-            for u in bits(g.rows[v]):
-                acc |= prev[u]
-            nxt.append(acc)
-        masks.append(nxt)
-    return masks
+from conftest import all_graphs, make_graph, random_graph, reach_sets_by_length
 
 
 def walk_exists(g, v, w, k):
@@ -121,39 +101,6 @@ class TestExactReach:
         for v in range(n):
             for w in range(n):
                 assert exact_reach(t, v, w, k) == bool((masks[k][v] >> w) & 1)
-
-
-class TestReaches:
-    def test_path_endpoints(self, g3):
-        t = build_reachability(g3)
-        assert reaches(t, 0, 2)
-        assert not reaches(t, 2, 0)
-
-    def test_reflexive(self):
-        rng = random.Random(53)
-        for _ in range(20):
-            g = random_graph(rng, rng.randint(1, 6))
-            t = build_reachability(g)
-            for v in range(g.vertex_count):
-                assert reaches(t, v, v)
-
-    def test_matches_bfs_closure(self):
-        rng = random.Random(59)
-        for _ in range(100):
-            g = random_graph(rng, rng.randint(1, 7), density=0.3)
-            t = build_reachability(g)
-            n = g.vertex_count
-            for v in range(n):
-                seen = 1 << v
-                frontier = seen
-                while frontier:
-                    nxt = 0
-                    for u in bits(frontier):
-                        nxt |= g.rows[u]
-                    frontier = nxt & ~seen
-                    seen |= nxt
-                for w in range(n):
-                    assert reaches(t, v, w) == bool((seen >> w) & 1)
 
 
 def test_acyclic_period_one():

@@ -15,7 +15,15 @@ from amplify.skewlattice import (
     unique_predecessor_elements,
 )
 
-from conftest import make_graph, random_graph
+from conftest import (
+    PAST_POWER_CAP,
+    all_graphs,
+    cycle_union,
+    is_witness,
+    make_graph,
+    random_graph,
+    recover_from_lattice,
+)
 
 
 class TestSkewWindow:
@@ -236,10 +244,23 @@ class TestPrincipalSetMembers:
         s = principal_set_members(w, PrincipalHereditary(g1, 0, 0))
         assert s.vertices() == (0,)
 
+    def test_window_past_power_cap(self):
+        # the band alone decides membership, whatever the base graph's period
+        g = cycle_union(PAST_POWER_CAP)
+        w = skew_window(g, 0, 2)
+        s = principal_set_members(w, PrincipalHereditary(g, 0, 0))
+        assert s.vertices() == (0, 31, 62)  # x0@0, x1@1, x2@2
+
     def test_level_must_lie_in_window(self, g2):
         w = skew_window(g2, 0, 1)
         with pytest.raises(ValueError):
             principal_set_members(w, PrincipalHereditary(g2, 0, -1))
+
+    def test_vertex_must_lie_in_base(self, g2):
+        # vertex 2 of a 2-vertex base would otherwise index a@1
+        w = skew_window(g2, 0, 1)
+        with pytest.raises(ValueError):
+            principal_set_members(w, PrincipalHereditary(g2, 2, 0))
 
     def test_members_hereditary_in_window(self):
         rng = random.Random(97)
@@ -250,3 +271,40 @@ class TestPrincipalSetMembers:
             s = principal_set_members(w, PrincipalHereditary(g, rng.randrange(n), rng.randint(0, 2)))
             for v in bits(s.members):
                 assert w.graph.rows[v] & ~s.members == 0
+
+
+class TestLatticeReconstruction:
+    """E read back from the lattice of the band [0, 1] and translation alone."""
+
+    def _check(self, g):
+        n = g.vertex_count
+        window = skew_window(g, 0, 1)
+        lattice = enumerate_hereditary(window.graph)
+        by_members = {x.members: x for x in lattice}
+        level0 = (1 << n) - 1
+
+        def tau(x):
+            return by_members[(x.members & level0) << n]
+
+        generators, rows = recover_from_lattice(lattice, tau)
+        # H(v, 0) is the generator that holds (v, 0)
+        phi = [
+            next(
+                i
+                for i, x in enumerate(generators)
+                if (x.members >> window.vertex_index(v, 0)) & 1
+            )
+            for v in range(n)
+        ]
+        assert sorted(phi) == list(range(len(generators)))
+        assert is_witness(g, make_graph(rows), phi)
+
+    def test_exhaustive_small(self):
+        for n in range(1, 4):
+            for g in all_graphs(n):
+                self._check(g)
+
+    def test_random_four_vertices(self):
+        rng = random.Random(101)
+        for _ in range(200):
+            self._check(random_graph(rng, 4))
