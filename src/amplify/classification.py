@@ -12,6 +12,7 @@ from itertools import permutations, product
 
 from .graphs import (
     AmplifiedGraph,
+    _walk,
     _weak_fill,
     amplified_transitive_closure,
     apply_permutation,
@@ -167,21 +168,12 @@ def check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Report:
 def _longest_walk(rows: tuple[int, ...], w: int, v: int, d: int) -> int:
     """The largest k <= d with a length-k walk w -> v; one must exist.
 
-    Walks the frontiers (ends of length-k walks from w) to d or to the first
-    repeat; if frontier p recurs at p + q, a hit at j >= p recurs last at
-    d - (d - j) mod q.
+    Reads the frontiers from w to d or to their first repeat; if frontier p
+    recurs at p + q, a hit at j >= p recurs last at d - (d - j) mod q.
     """
-    walk, index = [1 << w], {1 << w: 0}
-    start, period = d + 1, 1
-    while len(walk) <= d:
-        nxt = 0
-        for u in bits(walk[-1]):
-            nxt |= rows[u]
-        if nxt in index:
-            start, period = index[nxt], len(walk) - index[nxt]
-            break
-        index[nxt] = len(walk)
-        walk.append(nxt)
+    walk, start, period = _walk(rows, w, d)
+    if start is None:
+        start, period = d + 1, 1
     hits = (j for j, frontier in enumerate(walk) if (frontier >> v) & 1)
     return max(j if j < start else d - (d - j) % period for j in hits)
 

@@ -170,6 +170,25 @@ def _weak_fill(graph: AmplifiedGraph, seen: int, within: int) -> int:
     return seen
 
 
+def _walk(rows: tuple[int, ...], v: int, limit: int):
+    """The frontiers from v up to their first repeat, as ``(frontiers, p, q)``
+    with frontier p + q == frontier p; bit w of frontier k is set when a
+    length-k walk runs v -> w.  With no repeat by frontier ``limit``,
+    p = q = None.
+    """
+    walk, index = [1 << v], {1 << v: 0}
+    while len(walk) <= limit:
+        nxt = 0
+        for u in bits(walk[-1]):
+            nxt |= rows[u]
+        if nxt in index:
+            p = index[nxt]
+            return tuple(walk), p, len(walk) - p
+        index[nxt] = len(walk)
+        walk.append(nxt)
+    return tuple(walk), None, None
+
+
 def apply_permutation(
     graph: AmplifiedGraph,
     perm: Sequence[int],

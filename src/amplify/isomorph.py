@@ -70,12 +70,12 @@ def digraph_isomorphism(g: AmplifiedGraph, h: AmplifiedGraph):
             if col_h[w] == col_g[v]:
                 mask |= 1 << w
         candidates.append(mask)
-    return kernels.find_isomorphism(n, g.rows, h.rows, candidates)
+    return kernels.find_isomorphism(g.rows, h.rows, candidates)
 
 
 def canonical_permutation(g: AmplifiedGraph) -> tuple[int, ...]:
     """The relabeling (position -> original vertex) used by canonical_form."""
-    return kernels.canonical_perm(g.vertex_count, g.rows)
+    return kernels.canonical_perm(g.rows)
 
 
 def canonical_form(g: AmplifiedGraph) -> str:

@@ -13,13 +13,14 @@ from __future__ import annotations
 BACKEND = "pure"
 
 
-def find_isomorphism(n, rows_g, rows_h, candidates):
+def find_isomorphism(rows_g, rows_h, candidates):
     """Backtracking search for a bijection phi with G[v][w] == H[phi v][phi w].
 
     ``candidates[v]`` is a bitmask of admissible images for vertex ``v``;
     images are tried in increasing index order, so the first witness found is
     deterministic.  Returns a tuple ``phi`` or None.
     """
+    n = len(rows_g)
     if n == 0:
         return ()
     phi = [-1] * n
@@ -52,7 +53,7 @@ def find_isomorphism(n, rows_g, rows_h, candidates):
     return tuple(phi) if extend(0, 0) else None
 
 
-def canonical_perm(n, rows):
+def canonical_perm(rows):
     """Permutation (new position -> old vertex) minimizing the relabeled matrix.
 
     The matrix is compared in growing-corner order: placing position ``k``
@@ -79,6 +80,7 @@ def canonical_perm(n, rows):
       the prefix span only a subgroup of its stabiliser, which is still
       sound.
     """
+    n = len(rows)
     if n == 0:
         return ()
     best_have = False

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import AmplifiedGraph, bits
-from .reachability import ReachabilityTable, exact_reach
+from .reachability import build_reachability, exact_reach
 
 HEREDITARY_ENUM_CAP = 20
 
@@ -92,11 +92,7 @@ def translate(h: PrincipalHereditary, k: int) -> PrincipalHereditary:
     return PrincipalHereditary(h.graph, h.vertex, h.level + k)
 
 
-def principal_contains(
-    table: ReachabilityTable,
-    inner: PrincipalHereditary,
-    outer: PrincipalHereditary,
-) -> bool:
+def principal_contains(inner: PrincipalHereditary, outer: PrincipalHereditary) -> bool:
     """Whether inner's set lies inside outer's.
 
     H(w, n) is contained in H(v, m) exactly when a path of length n - m runs
@@ -104,8 +100,10 @@ def principal_contains(
     """
     if inner.graph != outer.graph:
         raise ValueError("tokens refer to different base graphs")
-    if table.size != inner.graph.vertex_count:
-        raise ValueError("reachability table does not match the base graph")
+    for h in (inner, outer):
+        if not 0 <= h.vertex < h.graph.vertex_count:
+            raise ValueError(f"vertex {h.vertex} outside the base graph")
+    table = build_reachability(inner.graph)
     return exact_reach(table, outer.vertex, inner.vertex, inner.level - outer.level)
 
 

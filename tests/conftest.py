@@ -21,7 +21,7 @@ G4 = "vertex a\nedge a a\n"
 G5 = "vertex a\nvertex b\nvertex c\nedge a b\n"
 TRIANGLE = "vertex a\nvertex b\nvertex c\nedge a b\nedge b c\nedge a c\n"
 # Cycle lengths whose boolean period, lcm = 4620, exceeds the reachability
-# table's POWER_CAP of 4096.
+# table's POWER_CAP of 4096, though no single vertex's walk period does.
 PAST_POWER_CAP = (3, 4, 5, 7, 11)
 
 

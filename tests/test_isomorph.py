@@ -142,7 +142,7 @@ class TestCanonicalKernel:
         for _ in range(60):
             n = rng.randint(1, 5)
             g = random_graph(rng, n)
-            perm = kernels.canonical_perm(n, g.rows)
+            perm = kernels.canonical_perm(g.rows)
             best = min(
                 corner_key(g, p) for p in itertools.permutations(range(n))
             )
@@ -155,7 +155,7 @@ class TestCanonicalPruning:
     def test_matches_reference_exhaustive_small(self):
         for n in range(4):
             for g in all_graphs(n):
-                assert kernels.canonical_perm(n, g.rows) == reference_canonical_perm(
+                assert kernels.canonical_perm(g.rows) == reference_canonical_perm(
                     n, g.rows
                 )
 
@@ -165,9 +165,9 @@ class TestCanonicalPruning:
             for n in range(1, 8):
                 for _ in range(6):
                     g = symmetric_graph(family, n, rng)
-                    assert kernels.canonical_perm(
+                    assert kernels.canonical_perm(g.rows) == reference_canonical_perm(
                         n, g.rows
-                    ) == reference_canonical_perm(n, g.rows), (family, g.rows)
+                    ), (family, g.rows)
 
     def test_matches_reference_on_cycle_unions(self):
         # automorphism groups far from the full symmetric group: pruning by
@@ -186,9 +186,9 @@ class TestCanonicalPruning:
                     phi = list(range(n))
                     rng.shuffle(phi)
                     g = relabeled_image(cycle_union(lengths), phi)
-                    assert kernels.canonical_perm(
+                    assert kernels.canonical_perm(g.rows) == reference_canonical_perm(
                         n, g.rows
-                    ) == reference_canonical_perm(n, g.rows), (lengths, phi)
+                    ), (lengths, phi)
 
     @given(
         st.sampled_from(SYMMETRIC_FAMILIES),
@@ -211,9 +211,9 @@ class TestCanonicalPruning:
         full = (1 << 10) - 1
         loop = [(1 << v) if loops else 0 for v in range(10)]
         identity = tuple(range(10))
-        assert kernels.canonical_perm(10, loop) == identity
+        assert kernels.canonical_perm(loop) == identity
         complete = [full & ~(1 << v) | loop[v] for v in range(10)]
-        assert kernels.canonical_perm(10, complete) == identity
+        assert kernels.canonical_perm(complete) == identity
 
 
 def test_canonical_permutation_consistent(g3):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,8 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amplify.reachability import build_reachability, exact_reach
+from amplify.skewlattice import PrincipalHereditary, principal_contains
 
-from conftest import all_graphs, make_graph, random_graph, reach_sets_by_length
+from conftest import (
+    PAST_POWER_CAP,
+    all_graphs,
+    chained_cycle_union,
+    cycle_union,
+    make_graph,
+    random_graph,
+    reach_sets_by_length,
+)
 
 
 def walk_exists(g, v, w, k):
@@ -25,8 +35,8 @@ class TestBuild:
     def test_path_graph_powers(self, g3):
         t = build_reachability(g3)
         assert (t.preperiod, t.period) == (3, 1)
-        assert t.powers[0] == (1, 2, 4)
-        assert t.powers[2] == (4, 0, 0)  # only a->c at length 2
+        assert t.walks == (((1, 2, 4, 0), 3, 1), ((2, 4, 0), 2, 1), ((4, 0), 1, 1))
+        assert t.walks[0][0][2] == 4  # only a->c at length 2
 
     def test_loop_least_repeat(self, g4):
         t = build_reachability(g4)
@@ -41,13 +51,77 @@ class TestBuild:
         for _ in range(50):
             g = random_graph(rng, rng.randint(1, 6))
             t = build_reachability(g)
-            assert t.powers[0] == tuple(1 << i for i in range(g.vertex_count))
-            assert len(t.powers) == t.preperiod + t.period
+            for v, (frontiers, p, q) in enumerate(t.walks):
+                assert frontiers[0] == 1 << v
+                assert len(frontiers) == p + q
+            assert t.preperiod == max(p for _, p, _ in t.walks)
+            assert t.period == math.lcm(*(q for _, _, q in t.walks))
 
     def test_two_cycle_period(self):
         g = make_graph([2, 1])  # x0 <-> x1
         t = build_reachability(g)
         assert (t.preperiod, t.period) == (0, 2)
+
+
+def first_repeat(seq):
+    """(i, j - i) for the first j whose item equals an earlier item i."""
+    index = {}
+    for j, item in enumerate(seq):
+        if item in index:
+            return index[item], j - index[item]
+        index[item] = j
+    raise AssertionError("no repeat within the sequence")
+
+
+class TestWalksAgainstPowers:
+    """The per-vertex walks against the boolean powers, computed directly."""
+
+    @staticmethod
+    def graphs():
+        for n in range(1, 4):
+            yield from all_graphs(n)
+        rng = random.Random(53)
+        for _ in range(300):
+            yield random_graph(rng, rng.randint(4, 7), density=rng.uniform(0.1, 0.6))
+
+    def test_matches_first_repeat_of_powers(self):
+        # on 7 vertices a preperiod is at most 37 and a period at most 12
+        horizon = 50
+        for g in self.graphs():
+            t = build_reachability(g)
+            masks = reach_sets_by_length(g, horizon)
+            assert (t.preperiod, t.period) == first_repeat(tuple(m) for m in masks)
+            for v, (frontiers, p, q) in enumerate(t.walks):
+                assert (p, q) == first_repeat(m[v] for m in masks)
+                assert frontiers == tuple(m[v] for m in masks[: p + q])
+
+
+class TestPastPowerCap:
+    """Graphs whose boolean period, 4620, exceeds POWER_CAP while no
+    vertex's own walk takes more than 11 steps to repeat."""
+
+    def test_cycle_union(self):
+        t = build_reachability(cycle_union(PAST_POWER_CAP))
+        assert (t.preperiod, t.period) == (0, 4620)
+        assert max(len(frontiers) for frontiers, _, _ in t.walks) == 11
+
+    def test_chained_cycle_union(self):
+        t = build_reachability(chained_cycle_union(PAST_POWER_CAP))
+        assert (t.preperiod, t.period) == (77, 4620)
+
+    def test_principal_contains_at_the_period(self):
+        g = cycle_union(PAST_POWER_CAP)
+        outer = PrincipalHereditary(g, 0, 0)
+        assert principal_contains(PrincipalHereditary(g, 0, 4620), outer)
+        assert not principal_contains(PrincipalHereditary(g, 0, 4619), outer)
+
+    def test_hub_walk_still_capped(self):
+        # a hub with an edge into each cycle: its own walk has period 4620
+        firsts = itertools.accumulate(PAST_POWER_CAP[:-1], initial=0)
+        hub = sum(2 << f for f in firsts)
+        g = make_graph([hub] + [row << 1 for row in cycle_union(PAST_POWER_CAP).rows])
+        with pytest.raises(RuntimeError, match="no repeat among the first 4096 walk frontiers"):
+            build_reachability(g)
 
 
 class TestExactReach:

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from amplify.graphs import bits, parse_graph
-from amplify.reachability import build_reachability
 from amplify.skewlattice import (
     FiniteHereditarySet,
     PrincipalHereditary,
@@ -72,28 +71,35 @@ class TestTranslate:
 
 class TestPrincipalContains:
     def test_edge_gives_containment(self, g2):
-        t = build_reachability(g2)
         inner = PrincipalHereditary(g2, 1, 1)  # H(b, 1)
         outer = PrincipalHereditary(g2, 0, 0)  # H(a, 0)
-        assert principal_contains(t, inner, outer)
+        assert principal_contains(inner, outer)
 
     def test_reflexive(self, g3):
-        t = build_reachability(g3)
         for v in range(3):
             h = PrincipalHereditary(g3, v, 0)
-            assert principal_contains(t, h, h)
+            assert principal_contains(h, h)
 
     def test_no_reverse_containment(self, g2):
-        t = build_reachability(g2)
         inner = PrincipalHereditary(g2, 0, 1)  # H(a, 1)
         outer = PrincipalHereditary(g2, 1, 0)  # H(b, 0)
-        assert not principal_contains(t, inner, outer)
+        assert not principal_contains(inner, outer)
 
     def test_mismatched_graphs_rejected(self, g2, g3):
-        t = build_reachability(g2)
         with pytest.raises(ValueError):
             principal_contains(
-                t, PrincipalHereditary(g2, 0, 0), PrincipalHereditary(g3, 0, 0)
+                PrincipalHereditary(g2, 0, 0), PrincipalHereditary(g3, 0, 0)
+            )
+
+    @pytest.mark.parametrize(
+        "inner, outer", [((5, 1), (0, 0)), ((1, 1), (-2, 0)), ((0, 0), (2, 0))]
+    )
+    def test_vertex_outside_base_rejected(self, g2, inner, outer):
+        # once answered silently: 5 is past the last column, and -2 wrapped
+        # round to a row
+        with pytest.raises(ValueError, match="outside the base graph"):
+            principal_contains(
+                PrincipalHereditary(g2, *inner), PrincipalHereditary(g2, *outer)
             )
 
     def test_agrees_with_window_membership(self):
@@ -111,7 +117,6 @@ class TestPrincipalContains:
                         row |= 1 << w
                 rows.append(row)
             g = make_graph(rows)
-            t = build_reachability(g)
             window = skew_window(g, 0, n + 2)
             tokens = [
                 PrincipalHereditary(g, v, lvl)
@@ -123,20 +128,19 @@ class TestPrincipalContains:
                     explicit = principal_set_members(window, inner).issubset(
                         principal_set_members(window, outer)
                     )
-                    assert principal_contains(t, inner, outer) == explicit
+                    assert principal_contains(inner, outer) == explicit
 
     def test_equivariance(self):
         rng = random.Random(71)
         for _ in range(40):
             n = rng.randint(1, 5)
             g = random_graph(rng, n)
-            t = build_reachability(g)
             h1 = PrincipalHereditary(g, rng.randrange(n), rng.randint(-2, 2))
             h2 = PrincipalHereditary(g, rng.randrange(n), rng.randint(-2, 2))
-            base = principal_contains(t, h1, h2)
+            base = principal_contains(h1, h2)
             for k in range(-3, 4):
                 assert (
-                    principal_contains(t, translate(h1, k), translate(h2, k)) == base
+                    principal_contains(translate(h1, k), translate(h2, k)) == base
                 )
 
     def test_antisymmetry(self):
@@ -144,14 +148,13 @@ class TestPrincipalContains:
         for _ in range(60):
             n = rng.randint(1, 5)
             g = random_graph(rng, n)
-            t = build_reachability(g)
             for v in range(n):
                 for w in range(n):
                     for dv in range(-2, 3):
                         h1 = PrincipalHereditary(g, v, dv)
                         h2 = PrincipalHereditary(g, w, 0)
-                        if principal_contains(t, h1, h2) and principal_contains(
-                            t, h2, h1
+                        if principal_contains(h1, h2) and principal_contains(
+                            h2, h1
                         ):
                             assert h1 == h2
 
