@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import lcm
 
 from .graphs import (
     AmplifiedGraph,
+    _fill,
     _walk,
-    _weak_fill,
     amplified_transitive_closure,
     apply_permutation,
     bits,
@@ -125,7 +126,7 @@ def check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Report:
     if len(spec.levels) != n:
         raise ValueError("level map does not cover every vertex")
     full = (1 << n) - 1
-    if _weak_fill(graph, 1, full) != full:
+    if _fill(graph.undirected, 1) != full:
         raise ValueError("graph is not connected")
     levels = spec.levels
     lowest = min(levels)
@@ -148,7 +149,7 @@ def check_lemma23(graph: AmplifiedGraph, spec: VHSpec) -> Lemma23Report:
             break
     else:
         same = sum(1 << v for v in range(n) if levels[v] == levels[0])
-        outside = full & ~_weak_fill(graph, 1, same)
+        outside = full & ~_fill(graph.undirected, 1, same)
         if not outside:
             return Lemma23Report(verdict="constant", level=levels[0])
         condition, witness = "cond2-connectivity", (0, next(bits(outside)))
@@ -193,10 +194,12 @@ def validate_lattice_iso(
 ) -> bool:
     """Whether (vertex_map, shift) preserves all principal containments.
 
-    Verified as: for all v, w and every path length k within the periodicity
-    horizon of both graphs (widened by the shift spread), a length-k path
+    Verified as: for all v, w and every path length k, a length-k path
     v -> w exists in E iff a length-(k + shift[w] - shift[v]) path runs
-    between the images in F.  The definition; oracle and tests only.
+    between the images in F.  Both sides repeat once k passes the preperiods
+    of the walks from v in E and from phi(v) in F, with the lcm of their
+    periods, so each v scans k within that horizon, widened by the shift
+    spread.  The definition; oracle and tests only.
     """
     _require_bijection(e, f, rho)
     n = e.vertex_count
@@ -207,8 +210,10 @@ def validate_lattice_iso(
     tf = build_reachability(f)
     shift = rho.shift
     spread = max(shift) - min(shift)
-    horizon = max(te.preperiod + te.period, tf.preperiod + tf.period) + spread
     for v in range(n):
+        _, pe, qe = te.walks[v]
+        _, pf, qf = tf.walks[phi[v]]
+        horizon = max(pe, pf) + lcm(qe, qf) + spread
         for w in range(n):
             delta = shift[w] - shift[v]
             for k in range(-horizon, horizon + 1):

@@ -71,6 +71,11 @@ class AmplifiedGraph:
                 cols[w] |= 1 << v
         return tuple(cols)
 
+    @cached_property
+    def undirected(self) -> tuple[int, ...]:
+        """Neighbour masks over edges of either direction: rows | columns."""
+        return tuple(map(int.__or__, self.rows, self.columns))
+
     def vertex(self, name: str) -> int:
         try:
             return self.index[name]
@@ -146,25 +151,24 @@ def to_text(graph: AmplifiedGraph) -> str:
 def weakly_connected_components(graph: AmplifiedGraph) -> ComponentPartition:
     """Partition vertices by the symmetric-transitive closure of the edges."""
     n = graph.vertex_count
-    full = (1 << n) - 1
     component_of = [-1] * n
     count = 0
     for v in range(n):
         if component_of[v] < 0:
-            for w in bits(_weak_fill(graph, 1 << v, full)):
+            for w in bits(_fill(graph.undirected, 1 << v)):
                 component_of[w] = count
             count += 1
     return ComponentPartition(tuple(component_of), count)
 
 
-def _weak_fill(graph: AmplifiedGraph, seen: int, within: int) -> int:
-    """The vertices of ``within`` joined to ``seen`` by edges of either
-    direction inside ``within``, as a bitmask that includes ``seen``."""
+def _fill(rows: Sequence[int], seen: int, within: int = -1) -> int:
+    """The vertices that ``rows`` leads to from ``seen`` without leaving
+    ``within`` (default: every vertex), as a bitmask that includes ``seen``."""
     frontier = seen
     while frontier:
         reach = 0
         for u in bits(frontier):
-            reach |= graph.rows[u] | graph.columns[u]
+            reach |= rows[u]
         frontier = reach & within & ~seen
         seen |= frontier
     return seen
@@ -194,17 +198,20 @@ def apply_permutation(
     perm: Sequence[int],
     names: Sequence[str] | None = None,
 ) -> AmplifiedGraph:
-    """Relabel so that new position ``i`` holds old vertex ``perm[i]``."""
+    """Relabel so that new position ``i`` holds old vertex ``perm[i]``.
+
+    Each old row's bits move to their new positions: O(n + m).  Raises
+    ValueError unless ``perm`` is a permutation of ``range(n)``.
+    """
     n = graph.vertex_count
-    rows = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if graph.has_edge(perm[i], perm[j]):
-                row |= 1 << j
-        rows.append(row)
+    if len(perm) != n or set(perm) != set(range(n)):
+        raise ValueError("perm is not a permutation of the vertices")
+    position = [0] * n
+    for i, v in enumerate(perm):
+        position[v] = i
+    rows = [sum([1 << position[w] for w in bits(graph.rows[v])]) for v in perm]
     if names is None:
-        names = [graph.names[perm[i]] for i in range(n)]
+        names = [graph.names[v] for v in perm]
     return AmplifiedGraph(tuple(names), tuple(rows))
 
 

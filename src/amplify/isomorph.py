@@ -63,13 +63,10 @@ def digraph_isomorphism(g: AmplifiedGraph, h: AmplifiedGraph):
     if refined is None:
         return None
     col_g, col_h = refined
-    candidates = []
-    for v in range(n):
-        mask = 0
-        for w in range(n):
-            if col_h[w] == col_g[v]:
-                mask |= 1 << w
-        candidates.append(mask)
+    of_color = dict.fromkeys(col_h, 0)
+    for w, c in enumerate(col_h):
+        of_color[c] |= 1 << w
+    candidates = [of_color[c] for c in col_g]
     return kernels.find_isomorphism(g.rows, h.rows, candidates)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import AmplifiedGraph, bits
+from .graphs import AmplifiedGraph, _fill, bits
 from .reachability import build_reachability, exact_reach
 
 HEREDITARY_ENUM_CAP = 20
@@ -72,18 +72,10 @@ def skew_window(base: AmplifiedGraph, lo: int, hi: int) -> SkewWindow:
     if lo > hi:
         raise ValueError(f"empty window [{lo}, {hi}]")
     n = base.vertex_count
-    names = []
-    for level in range(lo, hi + 1):
-        names.extend(f"{name}@{level}" for name in base.names)
-    rows = []
-    for level in range(lo, hi + 1):
-        for v in range(n):
-            row = 0
-            if level < hi:
-                offset = (level + 1 - lo) * n
-                for w in bits(base.rows[v]):
-                    row |= 1 << (offset + w)
-            rows.append(row)
+    names = [f"{name}@{level}" for level in range(lo, hi + 1) for name in base.names]
+    # (v, level) -> (w, level + 1) for each edge v -> w; the top level has none.
+    rows = [row << (level + 1 - lo) * n for level in range(lo, hi) for row in base.rows]
+    rows += [0] * n
     return SkewWindow(base, lo, hi, AmplifiedGraph(tuple(names), tuple(rows)))
 
 
@@ -156,12 +148,5 @@ def principal_set_members(
     """
     if h.graph != window.base:
         raise ValueError("token refers to a different base graph")
-    rows = window.graph.rows
-    members = frontier = 1 << window.vertex_index(h.vertex, h.level)
-    while frontier:
-        reach = 0
-        for u in bits(frontier):
-            reach |= rows[u]
-        frontier = reach & ~members
-        members |= frontier
-    return FiniteHereditarySet(window.graph, members)
+    start = 1 << window.vertex_index(h.vertex, h.level)
+    return FiniteHereditarySet(window.graph, _fill(window.graph.rows, start))

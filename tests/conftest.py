@@ -12,7 +12,7 @@ from amplify.graphs import (
     weakly_connected_components,
 )
 from amplify.reachability import build_reachability, exact_reach
-from amplify.skewlattice import unique_predecessor_elements
+from amplify.skewlattice import SkewWindow, unique_predecessor_elements
 
 G1 = "vertex a\n"
 G2 = "vertex a\nvertex b\nedge a b\n"
@@ -97,6 +97,37 @@ def relabeled_image(g, phi, prefix="y"):
     for v, x in enumerate(phi):
         inv[x] = v
     return apply_permutation(g, inv, [f"{prefix}{i}" for i in range(len(phi))])
+
+
+SYMMETRIC_FAMILIES = ("edgeless", "complete", "closure", "cycles", "copies")
+
+
+def symmetric_graph(family, n, rng):
+    """A randomly relabeled member of a symmetric family on n >= 1 vertices.
+
+    ``closure`` is every edge including loops: the amplified transitive
+    closure of any strongly connected graph.  ``copies`` is disjoint copies
+    of one random graph whose size divides n.
+    """
+    full = (1 << n) - 1
+    if family == "edgeless":
+        g = make_graph([0] * n)
+    elif family == "complete":
+        g = make_graph([full & ~(1 << v) for v in range(n)])
+    elif family == "closure":
+        g = make_graph([full] * n)
+    elif family == "cycles":
+        lengths = []
+        while sum(lengths) < n:
+            lengths.append(rng.randint(1, n - sum(lengths)))
+        g = cycle_union(lengths)
+    else:
+        size = rng.choice([c for c in range(1, n + 1) if n % c == 0])
+        one = random_graph(rng, size).rows
+        g = make_graph([row << start for start in range(0, n, size) for row in one])
+    phi = list(range(n))
+    rng.shuffle(phi)
+    return relabeled_image(g, phi, prefix="x")
 
 
 def all_graphs(n, prefix="x"):
@@ -304,3 +335,60 @@ def reference_canonical_perm(n, rows):
 
     rec(0, 0, -1)
     return tuple(best_perm)
+
+
+def reference_apply_permutation(graph, perm, names=None):
+    """Relabelling read off the adjacency one vertex pair at a time: the test
+    oracle for ``apply_permutation``."""
+    n = graph.vertex_count
+    rows = []
+    for i in range(n):
+        row = 0
+        for j in range(n):
+            if graph.has_edge(perm[i], perm[j]):
+                row |= 1 << j
+        rows.append(row)
+    if names is None:
+        names = [graph.names[perm[i]] for i in range(n)]
+    return AmplifiedGraph(tuple(names), tuple(rows))
+
+
+def reference_skew_window(base, lo, hi):
+    """The cover band built one edge bit at a time: the test oracle for
+    ``skew_window``."""
+    n = base.vertex_count
+    names = []
+    for level in range(lo, hi + 1):
+        names.extend(f"{name}@{level}" for name in base.names)
+    rows = []
+    for level in range(lo, hi + 1):
+        for v in range(n):
+            row = 0
+            if level < hi:
+                offset = (level + 1 - lo) * n
+                for w in bits(base.rows[v]):
+                    row |= 1 << (offset + w)
+            rows.append(row)
+    return SkewWindow(base, lo, hi, AmplifiedGraph(tuple(names), tuple(rows)))
+
+
+def seeded_graphs(rng, count, sizes):
+    """``count`` graphs with sizes drawn from ``sizes``: random graphs of
+    varying density in turn with every symmetric family (edgeless, complete,
+    closure, cycle unions, disjoint copies)."""
+    families = ("random",) + SYMMETRIC_FAMILIES
+    for i in range(count):
+        n = rng.choice(sizes)
+        family = families[i % len(families)]
+        if family == "random":
+            yield random_graph(rng, n, density=rng.uniform(0.1, 0.7))
+        else:
+            yield symmetric_graph(family, n, rng)
+
+
+def sparse_graph(rng, n, degree=2):
+    """A random graph on n vertices with about ``degree`` out-edges each,
+    built without an n * n pass."""
+    return make_graph(
+        [sum({1 << rng.randrange(n) for _ in range(degree)}) for _ in range(n)]
+    )

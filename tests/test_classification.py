@@ -35,6 +35,7 @@ from conftest import (
     random_graph,
     reference_check_lemma23,
     relabeled_image,
+    sparse_graph,
 )
 
 
@@ -230,6 +231,15 @@ class TestValidate:
     def test_shift_split_within_component_fails(self, g2):
         assert not validate_lattice_iso(g2, g2, LatticeIsoData((0, 1), (0, 1)))
 
+    def test_cycle_union_per_cycle_shifts(self):
+        # global period 4 620; each vertex's own walk repeats within 11 steps
+        g = cycle_union(PAST_POWER_CAP)
+        identity = tuple(range(g.vertex_count))
+        shift = weakly_connected_components(g).component_of
+        assert validate_lattice_iso(g, g, LatticeIsoData(identity, shift))
+        skewed = shift[:7] + (shift[7] + 1,) + shift[8:]
+        assert not validate_lattice_iso(g, g, LatticeIsoData(identity, skewed))
+
 
 class TestIsLatticeIso:
     """The O(n^2) component-shift test against the horizon-scan definition."""
@@ -322,6 +332,17 @@ class TestNormalize:
         skewed = (shift[0] + 1,) + shift[1:]
         with pytest.raises(ValueError, match="not a lattice isomorphism"):
             normalize_lattice_iso(e, f, LatticeIsoData(tuple(phi), skewed))
+
+    def test_relabelled_large_sparse_pair(self):
+        rng = random.Random(229)
+        e = sparse_graph(rng, 4000)
+        phi = list(range(4000))
+        rng.shuffle(phi)
+        f = relabeled_image(e, phi)
+        comp = weakly_connected_components(e)
+        shift = tuple(c % 5 - 2 for c in comp.component_of)
+        out = normalize_lattice_iso(e, f, LatticeIsoData(tuple(phi), shift))
+        assert out == LatticeIsoData(tuple(phi), (0,) * 4000)
 
     def test_random_validated_instances(self):
         rng = random.Random(107)

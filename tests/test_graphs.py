@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import deque
 
@@ -18,7 +19,14 @@ from amplify.graphs import (
     weakly_connected_components,
 )
 
-from conftest import all_graphs, make_graph, random_graph
+from conftest import (
+    all_graphs,
+    make_graph,
+    random_graph,
+    reference_apply_permutation,
+    seeded_graphs,
+    sparse_graph,
+)
 
 
 class TestParse:
@@ -178,3 +186,52 @@ class TestHelpers:
         g = apply_permutation(g2, (1, 0))
         assert g.names == ("b", "a")
         assert g.has_edge(1, 0) and not g.has_edge(0, 1)
+
+
+class TestApplyPermutation:
+    """The row-wise relabelling against the vertex-pair reference."""
+
+    def test_matches_reference_exhaustive_small(self):
+        for n in range(4):
+            for g in all_graphs(n):
+                for perm in itertools.permutations(range(n)):
+                    assert apply_permutation(g, perm) == reference_apply_permutation(
+                        g, perm
+                    ), (g, perm)
+
+    def test_matches_reference_seeded(self):
+        rng = random.Random(211)
+        for g in seeded_graphs(rng, 300, range(4, 13)):
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            names = [f"y{i}" for i in perm]
+            assert apply_permutation(g, perm) == reference_apply_permutation(g, perm)
+            assert apply_permutation(g, perm, names) == reference_apply_permutation(
+                g, perm, names
+            )
+
+    @pytest.mark.parametrize(
+        "perm, names",
+        [
+            ((2, 0), None),
+            ((0, 0, 1), ("x", "y", "z")),
+            ((0, 1, 3), None),
+            ((0, 1, -1), None),
+        ],
+        ids=["too-short", "repeated", "past-end", "negative"],
+    )
+    def test_rejects_non_permutations(self, g3, perm, names):
+        with pytest.raises(ValueError, match="not a permutation"):
+            apply_permutation(g3, perm, names)
+
+    def test_round_trip_large_sparse(self):
+        rng = random.Random(223)
+        g = sparse_graph(rng, 4000)
+        perm = list(range(4000))
+        rng.shuffle(perm)
+        inverse = [0] * 4000
+        for i, v in enumerate(perm):
+            inverse[v] = i
+        h = apply_permutation(g, perm)
+        assert h.rows != g.rows and h.edge_count() == g.edge_count()
+        assert apply_permutation(h, inverse) == g

@@ -10,6 +10,7 @@ from amplify.graphs import apply_permutation, parse_graph
 from amplify.isomorph import canonical_form, canonical_permutation, digraph_isomorphism
 
 from conftest import (
+    SYMMETRIC_FAMILIES,
     all_graphs,
     brute_force_isomorphism,
     cycle_union,
@@ -18,37 +19,8 @@ from conftest import (
     random_graph,
     reference_canonical_perm,
     relabeled_image,
+    symmetric_graph,
 )
-
-SYMMETRIC_FAMILIES = ("edgeless", "complete", "closure", "cycles", "copies")
-
-
-def symmetric_graph(family, n, rng):
-    """A randomly relabeled member of a symmetric family on n >= 1 vertices.
-
-    ``closure`` is every edge including loops: the amplified transitive
-    closure of any strongly connected graph.  ``copies`` is disjoint copies
-    of one random graph whose size divides n.
-    """
-    full = (1 << n) - 1
-    if family == "edgeless":
-        g = make_graph([0] * n)
-    elif family == "complete":
-        g = make_graph([full & ~(1 << v) for v in range(n)])
-    elif family == "closure":
-        g = make_graph([full] * n)
-    elif family == "cycles":
-        lengths = []
-        while sum(lengths) < n:
-            lengths.append(rng.randint(1, n - sum(lengths)))
-        g = cycle_union(lengths)
-    else:
-        size = rng.choice([c for c in range(1, n + 1) if n % c == 0])
-        one = random_graph(rng, size).rows
-        g = make_graph([row << start for start in range(0, n, size) for row in one])
-    phi = list(range(n))
-    rng.shuffle(phi)
-    return relabeled_image(g, phi, prefix="x")
 
 
 class TestIsomorphism:

@@ -22,6 +22,8 @@ from conftest import (
     make_graph,
     random_graph,
     recover_from_lattice,
+    reference_skew_window,
+    seeded_graphs,
 )
 
 
@@ -54,6 +56,22 @@ class TestSkewWindow:
         w = skew_window(g3, -2, 1)
         assert w.graph.vertex_count == 3 * 4
 
+
+    def test_matches_reference_exhaustive_small(self):
+        for n in range(3):
+            for g in all_graphs(n):
+                for lo in range(-2, 2):
+                    for hi in range(lo, lo + 4):
+                        assert skew_window(g, lo, hi) == reference_skew_window(
+                            g, lo, hi
+                        ), (g, lo, hi)
+
+    def test_matches_reference_seeded(self):
+        rng = random.Random(227)
+        for g in seeded_graphs(rng, 120, range(1, 6)):
+            lo = rng.randint(-3, 2)
+            hi = lo + rng.randint(0, 4)
+            assert skew_window(g, lo, hi) == reference_skew_window(g, lo, hi)
 
 class TestTranslate:
     def test_shift(self, g2):
